@@ -6,7 +6,6 @@ from .analysis import (
     VerificationReport,
     compact_grid,
     mpps_report,
-    solution_bound,
     verify_bound,
     verify_periodic,
     verify_poisson,
@@ -27,6 +26,7 @@ from .errors import (
     HorizonError,
     MissingSampleError,
     TimeScaleDomainError,
+    TsdynError,
 )
 from .forcing import (
     ForcingComponent,
@@ -45,16 +45,12 @@ from .impulsive import (
     ImpulsiveModel,
     StabilityCert,
     Trajectory,
-    bounded_solution,
     certify,
-    check_A1,
-    check_A2,
     check_contractive_period,
     check_invertible_jump,
     integrate,
     matriciant,
-    periodic_component,
-    poisson_component,
+    solution_bound,
 )
 from .timescale import JumpInfo, PointClass, TimeScaleSpec
 
@@ -82,12 +78,10 @@ __all__ = [
     "TimeScaleSpec",
     "Trajectory",
     "TrigForcing",
+    "TsdynError",
     "VerificationReport",
     "as_timescale_function",
-    "bounded_solution",
     "certify",
-    "check_A1",
-    "check_A2",
     "check_contractive_period",
     "check_invertible_jump",
     "compact_grid",
@@ -98,9 +92,7 @@ __all__ = [
     "lift",
     "matriciant",
     "mpps_report",
-    "periodic_component",
     "piecewise_forcing_value",
-    "poisson_component",
     "recurrence_defect",
     "simulate_dynamic",
     "solution_bound",

@@ -18,7 +18,7 @@ import numpy as np
 from .dynamic import TimeScaleSolution, simulate_dynamic
 from .errors import TimeScaleDomainError
 from .forcing import ReturnTimeSet
-from .impulsive import ImpulsiveModel, StabilityCert
+from .impulsive import ImpulsiveModel, StabilityCert, solution_bound
 from .timescale import TimeScaleSpec
 
 _ABSCISSA_RTOL = 2.0 ** -40
@@ -122,7 +122,7 @@ def compact_grid(ts: TimeScaleSpec, lo: float, hi: float, grid_step: float) -> l
 
 
 def verify_poisson(
-    theta2_eval: Callable[[float], np.ndarray],
+    theta2_eval: Callable[[np.ndarray], np.ndarray],
     ts: TimeScaleSpec,
     returns: ReturnTimeSet,
     compact_lo: float,
@@ -133,25 +133,24 @@ def verify_poisson(
 ) -> VerificationReport:
     """Check recurrence of a solution along mined return times.
 
-    For each return shift the supremum of ``||theta(t + period*zeta) -
-    theta(t)||`` over the gridded compact window is computed.  The check
-    passes when the sequence of suprema never grows by more than the slack
-    factor from one return to the next and the final supremum falls below
-    the threshold ``eps`` (default: ``5 * final_defect + 1e-6``, the
-    empirically calibrated convolution-bound constant).
+    ``theta2_eval`` maps a 1-d array of points on the scale to an ``(n, m)``
+    array of values; it is called once on the compact grid and once per
+    return shift.  For each return shift the supremum of
+    ``||theta(t + period*zeta) - theta(t)||`` over the gridded compact
+    window is computed.  The check passes when the sequence of suprema never
+    grows by more than the slack factor from one return to the next and the
+    final supremum falls below the threshold ``eps`` (default:
+    ``5 * final_defect + 1e-6``, the empirically calibrated convolution-bound
+    constant).
     """
     if not returns.entries:
         raise ValueError("return-time set is empty")
-    grid = compact_grid(ts, compact_lo, compact_hi, grid_step)
-    base = [np.asarray(theta2_eval(t), dtype=float) for t in grid]
+    grid = np.asarray(compact_grid(ts, compact_lo, compact_hi, grid_step))
+    base = np.asarray(theta2_eval(grid), dtype=float)
     sups: list[float] = []
     for entry in returns.entries:
-        shift = ts.period * entry.zeta
-        worst = 0.0
-        for t, v in zip(grid, base):
-            diff = np.asarray(theta2_eval(t + shift), dtype=float) - v
-            worst = max(worst, float(np.linalg.norm(diff)))
-        sups.append(worst)
+        shifted = np.asarray(theta2_eval(grid + ts.period * entry.zeta), dtype=float)
+        sups.append(float(np.max(np.linalg.norm(shifted - base, axis=1))))
     eps_used = (
         eps
         if eps is not None
@@ -180,13 +179,6 @@ def verify_poisson(
 
 # ----------------------------------------------------------------------
 # sup-norm bound
-
-
-def solution_bound(cert: StabilityCert, ts: TimeScaleSpec, sup_f: float, sup_seq: float) -> float:
-    """Certified ceiling for the bounded solution's sup norm."""
-    rate = cert.decay_rate
-    geometry = 1.0 / rate + ts.gap / (1.0 - math.exp(-rate * ts.stride))
-    return cert.prefactor * (sup_f + sup_seq) * geometry
 
 
 def verify_bound(
@@ -346,9 +338,8 @@ def _window_padding(
     Internal tolerance heuristic only; deliberately not part of the public
     API surface.
     """
-    rate = cert.decay_rate
-    geometry = 1.0 / rate + ts.gap / (1.0 - math.exp(-rate * ts.stride))
-    tau0 = 1.0 / (2.0 * cert.prefactor * (1.0 + 2.0 * sup_seq) * geometry)
+    # the sup-norm ceiling of a solution driven by forcing 1 and sequence 2*sup_seq
+    tau0 = 1.0 / (2.0 * solution_bound(cert, ts, 1.0, 2.0 * sup_seq))
     if eps <= 0.0 or tau0 * eps >= 1.0:
         return 0
-    return math.ceil(math.log(1.0 / (tau0 * eps)) / (rate * ts.stride))
+    return math.ceil(math.log(1.0 / (tau0 * eps)) / (cert.decay_rate * ts.stride))

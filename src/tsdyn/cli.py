@@ -15,7 +15,9 @@ verify     all verification reports -> verify.json
 example    run the bundled two-dimensional logistic scenario end to end
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage or
-configuration error.  Errors emit a one-line JSON record on stderr.
+configuration error or any other library error (every
+:class:`~tsdyn.errors.TsdynError`).  Errors emit a one-line JSON record on
+stderr.
 
 Configuration is a single JSON document::
 
@@ -61,7 +63,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, dynamic, impulsive
-from .errors import AssumptionError, ConfigError, TimeScaleDomainError
+from .errors import ConfigError, TsdynError
 from .forcing import (
     ForcingComponent,
     Harmonic,
@@ -554,7 +556,7 @@ def main(argv=None) -> int:
         else:
             config = load_config(args.config, args.override)
         return run(args.subcommand, config, args.out)
-    except (ConfigError, TimeScaleDomainError, AssumptionError, ValueError, KeyError) as exc:
+    except (TsdynError, ValueError, KeyError) as exc:
         print(_error_record(exc), file=sys.stderr)
         return EXIT_USAGE
 

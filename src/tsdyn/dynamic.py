@@ -168,64 +168,77 @@ def lift(
     """Pull an impulsive-side evaluation back onto the time scale.
 
     ``phi`` is either a :class:`BoundedSolutionEvaluator` or a plain callable
-    ``s -> vector``.  Regular grid points map through psi; at a left endpoint
-    the value is the right limit after the jump (taken from the evaluator's
-    part-aware jump when available, else the full jump).
+    ``s -> vector``.  Regular grid points map through psi and, for an
+    evaluator, are evaluated in one batch; at a left endpoint the value is
+    the right limit after the jump (taken from the evaluator's part-aware
+    jump when available, else the full jump).
     """
     ts = model.ts
-    grid = sorted(float(t) for t in t_grid)
     if isinstance(phi, BoundedSolutionEvaluator):
-        value = phi.value
+        values = phi.values
         right_limit = phi.right_limit
     else:
-        value = phi
+
+        def values(ss) -> np.ndarray:
+            return np.array([np.asarray(phi(s), dtype=float) for s in ss]).reshape(
+                len(ss), model.dimension
+            )
 
         def right_limit(k: int) -> np.ndarray:
-            x = value(ts.impulse_point(k))
+            x = phi(ts.impulse_point(k))
             pulse = model.matrix @ x + model.forcing.value(ts.anchor)
             pulse = pulse + model.sequence.term(k)
             return x + ts.gap * pulse
 
     samples_t: list[float] = []
-    samples_y: list[np.ndarray] = []
-    endpoint_values: dict[int, np.ndarray] = {}
-    for t in grid:
+    jumps: list[int] = []
+    for t in sorted(float(t) for t in t_grid):
         k, code = ts.locate(t)
         if code == GAP:
             raise TimeScaleDomainError(f"grid point t={t!r} is not in the time scale")
         if code == LEFT_ENDPOINT:
-            endpoint_values[k - 1] = np.asarray(right_limit(k - 1), dtype=float)
-        else:
-            if samples_t and t <= samples_t[-1]:
-                continue  # duplicate grid point
+            jumps.append(k - 1)
+        elif not samples_t or t > samples_t[-1]:  # skip duplicate grid points
             samples_t.append(t)
-            samples_y.append(np.asarray(value(ts.psi(t)), dtype=float))
     return TimeScaleSolution(
         ts=ts,
         t=np.asarray(samples_t),
-        y=np.vstack(samples_y) if samples_y else np.zeros((0, model.dimension)),
-        endpoint_values=endpoint_values,
+        y=values([ts.psi(t) for t in samples_t]),
+        endpoint_values={k: np.asarray(right_limit(k), dtype=float) for k in jumps},
         provenance="lifted",
     )
 
 
 def as_timescale_function(
     model: ImpulsiveModel, evaluator: BoundedSolutionEvaluator
-) -> Callable[[float], np.ndarray]:
+) -> Callable:
     """Wrap an evaluator as a function on the whole time scale.
 
-    Regular points go through psi; left endpoints return the jump right
-    limit restricted to the evaluator's included forcing parts.
+    The function takes one point or a 1-d array of points and returns a
+    vector or an ``(n, m)`` array.  Regular points go through psi in one
+    batched evaluation; left endpoints return the jump right limit
+    restricted to the evaluator's included forcing parts.
     """
     ts = model.ts
 
-    def theta(t: float) -> np.ndarray:
-        k, code = ts.locate(t)
-        if code == GAP:
-            raise TimeScaleDomainError(f"t={t!r} is not in the time scale")
-        if code == LEFT_ENDPOINT:
-            return evaluator.right_limit(k - 1)
-        return evaluator.value(ts.psi(t))
+    def theta(t):
+        points = np.asarray(t, dtype=float)
+        flat = points.reshape(-1).tolist()
+        out = np.empty((len(flat), model.dimension))
+        regular: list[int] = []
+        jumps: dict[int, int] = {}
+        for i, x in enumerate(flat):
+            k, code = ts.locate(x)
+            if code == GAP:
+                raise TimeScaleDomainError(f"t={x!r} is not in the time scale")
+            if code == LEFT_ENDPOINT:
+                jumps[i] = k - 1
+            else:
+                regular.append(i)
+        out[regular] = evaluator.values([ts.psi(flat[i]) for i in regular])
+        for i, k in jumps.items():
+            out[i] = evaluator.right_limit(k)
+        return out.reshape(points.shape + (model.dimension,))
 
     return theta
 

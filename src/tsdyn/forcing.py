@@ -20,8 +20,6 @@ import numpy as np
 
 from .timescale import TimeScaleSpec
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 # ----------------------------------------------------------------------
 # trigonometric forcing
@@ -118,13 +116,43 @@ class TrigForcing:
             per_comp.append(total)
         return float(np.linalg.norm(per_comp))
 
-    def sup_norm(self, ts: TimeScaleSpec | None = None, grid: int = 4096) -> float:
-        """Supremum of ``||value(t)||`` over one period.
+    def realization(self, t0: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Linear realization ``(C, W, z0)`` with ``value(t0 + u) = C expm(W u) z0``.
+
+        The state stacks ``1`` and the pair ``cos, sin`` of every harmonic
+        order present in any component, so ``z' = W z`` where ``W`` rotates
+        each pair at its angular frequency and ``z0`` is the state at ``t0``.
+        """
+        orders = sorted({h.n for comp in self.components for h in comp.harmonics})
+        slot = {n: 1 + 2 * i for i, n in enumerate(orders)}
+        size = 1 + 2 * len(orders)
+        C = np.zeros((self.dimension, size))
+        W = np.zeros((size, size))
+        z0 = np.zeros(size)
+        z0[0] = 1.0
+        base = 2.0 * np.pi / self.period
+        for n, j in slot.items():
+            W[j, j + 1] = -base * n
+            W[j + 1, j] = base * n
+            z0[j] = math.cos(base * n * t0)
+            z0[j + 1] = math.sin(base * n * t0)
+        for i, comp in enumerate(self.components):
+            C[i, 0] = comp.constant
+            for h in comp.harmonics:
+                C[i, slot[h.n]] += h.cos_coeff
+                C[i, slot[h.n] + 1] += h.sin_coeff
+        return C, W, z0
+
+    def sup_norm(self, ts: TimeScaleSpec | None = None, grid: int = 8192) -> float:
+        """Certified upper bound on the supremum of ``||value(t)||`` over one period.
 
         With a time-scale spec the maximization is restricted to the scale
         (one closed interval per period); otherwise the full period is used.
-        A dense grid locates the maximum basin and golden-section refinement
-        polishes it to ~1e-6 relative.
+        The squared norm ``q`` is sampled on a uniform grid of spacing ``h``
+        that contains both ends.  A maximizer is either a sampled end or a
+        zero of ``q'`` within ``h/2`` of a sample, where ``q`` lies at most
+        ``h^2/8 * sup|q''|`` below it, and ``|q''| <= 2 (D1^2 + D0 D2)`` with
+        ``Dk = derivative_bound(k)``.
         """
         if ts is None:
             lo, hi = 0.0, self.period
@@ -133,30 +161,10 @@ class TrigForcing:
                 raise ValueError("time-scale period differs from forcing period")
             lo, hi = ts.endpoint(-1), ts.endpoint(0)
         pts = np.linspace(lo, hi, grid)
-        vals = np.sum(self.value_many(pts) ** 2, axis=1)
-        best = int(np.argmax(vals))
-        a = pts[max(best - 1, 0)]
-        b = pts[min(best + 1, grid - 1)]
-        peak = max(vals[best], self._golden_max(a, b))
-        return math.sqrt(peak)
-
-    def _golden_max(self, a: float, b: float) -> float:
-        def q(t: float) -> float:
-            return float(np.sum(self.value(t) ** 2))
-
-        x1 = b - _GOLDEN * (b - a)
-        x2 = a + _GOLDEN * (b - a)
-        f1, f2 = q(x1), q(x2)
-        while b - a > 1e-12 * max(1.0, abs(a), abs(b)):
-            if f1 < f2:
-                a, x1, f1 = x1, x2, f2
-                x2 = a + _GOLDEN * (b - a)
-                f2 = q(x2)
-            else:
-                b, x2, f2 = x2, x1, f1
-                x1 = b - _GOLDEN * (b - a)
-                f1 = q(x1)
-        return max(f1, f2)
+        peak = float(np.max(np.sum(self.value_many(pts) ** 2, axis=1)))
+        h = (hi - lo) / (grid - 1)
+        d0, d1, d2 = (self.derivative_bound(k) for k in range(3))
+        return math.sqrt(peak + h * h / 4.0 * (d1 * d1 + d0 * d2))
 
 
 # ----------------------------------------------------------------------

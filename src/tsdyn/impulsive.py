@@ -9,10 +9,12 @@ forcing; at each impulse moment the state jumps by
 ``gap * (A x + f(psi_inv(s_k)) + term_k)``.
 
 Because every factor appearing in the transition matrix is a function of the
-single matrix ``A``, matrix exponentials and jump factors commute; the
-bounded-solution evaluator exploits this to reduce the convolution over the
-infinite past to one reusable per-gap quadrature plus a per-call partial
-segment.
+single matrix ``A``, matrix exponentials and jump factors commute.  The
+bounded-solution evaluator uses this to write the convolution over the
+infinite past in closed form: one augmented matrix exponential per partial
+segment (Van Loan, "Computing integrals involving the matrix exponential",
+IEEE TAC 23(3), 1978), an exact geometric sum for the periodic forcing, and a
+truncated sum over whole gaps for the sequence forcing.
 """
 
 from __future__ import annotations
@@ -93,11 +95,6 @@ def check_contractive_period(model: ImpulsiveModel) -> AssumptionCheck:
     B = matrixkit.expm(model.ts.stride * model.matrix) @ model.jump_factor
     radius = float(matrixkit.spectral_radius(B))
     return AssumptionCheck(passed=bool(radius < 1.0 - _RADIUS_MARGIN), value=radius)
-
-
-# Aliases matching the customary (A1)/(A2) labels used in reports.
-check_A1 = check_invertible_jump
-check_A2 = check_contractive_period
 
 
 @dataclass(frozen=True)
@@ -326,21 +323,38 @@ def integrate(
 # bounded solution
 
 
+def solution_bound(cert: StabilityCert, ts: TimeScaleSpec, sup_f: float, sup_seq: float) -> float:
+    """Certified ceiling for the bounded solution's sup norm.
+
+    ``N * (sup_f + sup_seq) * (1/lambda + gap / (1 - exp(-lambda * stride)))``:
+    the integral of the decay envelope over the past plus its sum over the
+    impulses.
+    """
+    rate = cert.decay_rate
+    geometry = 1.0 / rate + ts.gap / (1.0 - math.exp(-rate * ts.stride))
+    return cert.prefactor * (sup_f + sup_seq) * geometry
+
+
 class BoundedSolutionEvaluator:
-    """Evaluator of the unique bounded solution via truncated convolution.
+    """Evaluator of the unique bounded solution in closed form.
 
     The solution at ``s`` is the integral of ``U(s, r)`` against the total
     forcing over ``(-inf, s]`` plus the impulse sum over moments below ``s``.
-    The infinite past is truncated at a horizon where the certified
-    exponential tail drops below half the requested tolerance, and the
-    integral is evaluated by composite Simpson quadrature per impulse-free
-    gap with a node count derived from a fourth-derivative bound so the
-    quadrature error stays below the other half.
+    It splits into the partial segment ``(s_k, s]`` back to the last impulse,
+    of length ``L``, and whole gaps, each one factor of the one-period map
+    ``B = expm(stride*A) (I + gap*A)`` further back.
 
-    Since all transition factors commute, each full gap contributes the same
-    two precomputed quadratures (one for the periodic forcing, one matrix
-    applied to the gap's sequence term), so a call costs one partial-segment
-    quadrature plus a short product recursion over whole gaps.
+    * On every segment the periodic forcing is ``C z`` with ``z' = W z``
+      (:meth:`TrigForcing.realization`, started at the phase of a left
+      interval endpoint) and the sequence term is constant, so the top block
+      row of ``expm(L * [[A, C, I], [0, W, 0], [0, 0, 0]])`` holds
+      ``expm(A L)``, the periodic integral map and the sequence kernel.
+    * The whole gaps of the periodic part form a geometric series, summed
+      exactly as ``expm(A L) (I - B)^{-1} a``.
+    * The whole gaps of the sequence part are truncated at ``horizon``,
+      where the certified exponential tail drops below half of ``tol``; the
+      other half is margin.  Their sum is one contraction of the stack
+      ``B^j G`` against the sequence terms.
 
     ``include_periodic`` / ``include_sequence`` select which forcing parts
     enter, yielding the periodic component, the sequence-driven component,
@@ -365,87 +379,83 @@ class BoundedSolutionEvaluator:
         self.include_sequence = bool(include_sequence)
 
         ts = model.ts
-        A = model.matrix
-        self._stride = ts.stride
-        self._gap = ts.gap
-        self._jump = model.jump_factor
-        self._step_matrix = matrixkit.expm(self._stride * A)
+        m = model.dimension
         self._f_at_right = model.forcing.value(ts.anchor)
-
-        self._sup_periodic = model.forcing.sup_norm(ts)
-        self._sup_sequence = _sequence_ceiling(model.sequence)
-        rate, N = cert.decay_rate, cert.prefactor
-        self._geometry_factor = 1.0 / rate + self._gap / (
-            1.0 - math.exp(-rate * self._stride)
+        self.sup_bound = solution_bound(
+            cert, ts, model.forcing.sup_norm(ts), _sequence_ceiling(model.sequence)
         )
-        total = self._sup_periodic + self._sup_sequence
-        self.sup_bound = N * total * self._geometry_factor
-        if total > 0.0:
+        if self.sup_bound > 0.0:
             self.horizon = max(
-                self._stride, math.log(2.0 * self.sup_bound / self.tol) / rate
+                ts.stride, math.log(2.0 * self.sup_bound / self.tol) / cert.decay_rate
             )
         else:
-            self.horizon = self._stride
+            self.horizon = ts.stride
 
-        self._gap_nodes = _gap_node_count(model, cert, self.tol, self._sup_sequence)
-        taus = self._stride * np.arange(self._gap_nodes + 1) / self._gap_nodes
-        stack = _expm_stack(A, self._stride / self._gap_nodes, self._gap_nodes)
-        w = _simpson_weights(self._gap_nodes, self._stride / self._gap_nodes)
-        # per-gap quadratures: periodic part of int_0^stride e^{A tau} u dtau
-        fvals = model.forcing.value_many(ts.anchor - taus)
-        self._gap_periodic = np.einsum("n,nij,nj->i", w, stack, fvals)
-        self._gap_kernel = np.einsum("n,nij->ij", w, stack)
+        C, W, self._z0 = model.forcing.realization(ts.anchor + ts.gap)
+        d = W.shape[0]
+        generator = np.zeros((2 * m + d, 2 * m + d))
+        generator[:m, :m] = model.matrix
+        generator[:m, m:m + d] = C
+        generator[:m, m + d:] = np.eye(m)
+        generator[m:m + d, m:m + d] = W
+        self._generator = generator
+
+        whole = self._segment(ts.stride)
+        E, F, G = whole[:, :m], whole[:, m:m + d], whole[:, m + d:]
+        Q = model.jump_factor
+        B = E @ Q
+        # periodic head: sum over j >= 0 of B^j (gap f(s_k) + Q F z0)
+        self._periodic_head = np.linalg.solve(
+            np.eye(m) - B, ts.gap * self._f_at_right + Q @ (F @ self._z0)
+        )
+        # a point walks at most horizon/stride + 2 whole gaps (index snapping adds one)
+        stack = np.empty((int(self.horizon // ts.stride) + 3, m, m))
+        stack[0] = ts.gap * np.eye(m) + Q @ G
+        for j in range(1, stack.shape[0]):
+            stack[j] = B @ stack[j - 1]
+        self._gap_stack = stack
 
     # -- public API ----------------------------------------------------
 
     def value(self, s: float) -> np.ndarray:
         """Bounded-solution value at ``s`` (left limit at impulse moments)."""
-        model = self.model
-        ts = model.ts
-        A = model.matrix
-        k_hi = ts.impulse_index_below(s)
-        # deepest gap covered is (impulse_point(k_lo), ...): the dropped tail
-        # then lies at distance >= horizon from s
-        k_lo = ts.impulse_index_below(s - self.horizon)
-        if self.include_sequence:
-            min_needed = k_lo + 1
-            seq_min = model.sequence.min_index()
-            if min_needed < seq_min:
-                raise HorizonError(
-                    f"truncation horizon needs sequence index {min_needed} but the "
-                    f"sequence starts at {seq_min}; deepen the seed index"
-                )
+        return self.values([s])[0]
 
-        # partial segment (impulse k_hi, s], carrying sequence index k_hi + 1
-        L = s - ts.impulse_point(k_hi)
-        n = max(2, 2 * math.ceil(self._gap_nodes * L / (2.0 * self._stride)))
-        stack = _expm_stack(A, L / n, n)
-        w = _simpson_weights(n, L / n)
-        acc = np.zeros(model.dimension)
+    def values(self, s) -> np.ndarray:
+        """Bounded-solution values at a 1-d array of points, shape ``(n, m)``.
+
+        Each point costs one matrix-vector product; points with equal
+        partial length share one segment exponential, and points below the
+        same impulse with the same depth share one walk over the gaps.
+        """
+        ts = self.model.ts
+        m = self.model.dimension
+        s = np.asarray(s, dtype=float).reshape(-1)
+        k_hi = [ts.impulse_index_below(x) for x in s]
+        lengths, which = np.unique(
+            [x - ts.impulse_point(k) for x, k in zip(s, k_hi)], return_inverse=True
+        )
+        # value = segment(L) @ [head, z0, term of the partial segment]
+        weights = np.zeros((s.size, self._generator.shape[0]))
         if self.include_periodic:
-            taus = L * np.arange(n + 1) / n
-            fvals = model.forcing.value_many((s - taus) + (k_hi + 1) * self._gap)
-            acc += np.einsum("n,nij,nj->i", w, stack, fvals)
+            weights[:, :m] = self._periodic_head
+            weights[:, m:-m] = self._z0
         if self.include_sequence:
-            kernel = np.einsum("n,nij->ij", w, stack)
-            acc += kernel @ model.sequence.term(k_hi + 1)
-
-        # whole gaps and impulses, walking backward from k_hi
-        M = stack[-1]  # e^{A L} = U(s, s_{k_hi}+)
-        for k in range(k_hi, k_lo, -1):
-            pulse = np.zeros(model.dimension)
-            if self.include_periodic:
-                pulse = pulse + self._f_at_right
-            if self.include_sequence:
-                pulse = pulse + model.sequence.term(k)
-            acc += self._gap * (M @ pulse)
-            MQ = M @ self._jump  # U(s, s_k)
-            if self.include_periodic:
-                acc += MQ @ self._gap_periodic
-            if self.include_sequence:
-                acc += (MQ @ self._gap_kernel) @ model.sequence.term(k)
-            M = MQ @ self._step_matrix  # U(s, s_{k-1}+)
-        return acc
+            # the deepest gap covered starts at impulse_index_below(x - horizon),
+            # so the dropped tail lies at distance >= horizon from x
+            depths = [k - ts.impulse_index_below(x - self.horizon) for x, k in zip(s, k_hi)]
+            walks: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+            for i, key in enumerate(zip(k_hi, depths)):
+                if key not in walks:
+                    walks[key] = self._gap_walk(*key)
+                head, term = walks[key]
+                weights[i, :m] += head
+                weights[i, -m:] = term
+        segments = [self._segment(L) for L in lengths]
+        out = np.empty((s.size, m))
+        for i, j in enumerate(which):
+            out[i] = segments[j] @ weights[i]
+        return out
 
     def right_limit(self, k: int) -> np.ndarray:
         """Right-limit value just after the impulse at ``impulse_point(k)``."""
@@ -458,26 +468,27 @@ class BoundedSolutionEvaluator:
             pulse = pulse + self._f_at_right
         if self.include_sequence:
             pulse = pulse + self.model.sequence.term(k)
-        return x + self._gap * pulse
+        return x + self.model.ts.gap * pulse
 
+    # -- internals -----------------------------------------------------
 
-def bounded_solution(model, cert, s, tol=1e-8) -> np.ndarray:
-    """Bounded-solution value at ``s``; see :class:`BoundedSolutionEvaluator`."""
-    return BoundedSolutionEvaluator(model, cert, tol).value(s)
+    def _segment(self, length: float) -> np.ndarray:
+        """Top block row ``[expm(A L), F(L), K(L)]`` of the augmented exponential."""
+        return matrixkit.expm(length * self._generator)[: self.model.dimension]
 
-
-def periodic_component(model, cert, s, tol=1e-8) -> np.ndarray:
-    """Part of the bounded solution driven by the periodic forcing alone."""
-    return BoundedSolutionEvaluator(
-        model, cert, tol, include_sequence=False
-    ).value(s)
-
-
-def poisson_component(model, cert, s, tol=1e-8) -> np.ndarray:
-    """Part of the bounded solution driven by the sequence forcing alone."""
-    return BoundedSolutionEvaluator(
-        model, cert, tol, include_periodic=False
-    ).value(s)
+    def _gap_walk(self, k: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
+        """Sequence sum over the ``depth`` whole gaps ending at impulse ``k``,
+        and the term ``k + 1`` driving the partial segment above it."""
+        seq = self.model.sequence
+        seq_min = seq.min_index()
+        if k - depth + 1 < seq_min:
+            raise HorizonError(
+                f"truncation horizon needs sequence index {k - depth + 1} but the "
+                f"sequence starts at {seq_min}; deepen the seed index"
+            )
+        terms = seq.terms(k - depth + 1, k + 1)
+        head = np.einsum("jab,jb->a", self._gap_stack[depth - 1::-1], terms[:-1])
+        return head, terms[-1]
 
 
 # ----------------------------------------------------------------------
@@ -488,61 +499,3 @@ def _sequence_ceiling(seq: PoissonSequence) -> float:
     if hasattr(seq, "max_index"):
         return seq.sup_norm(seq.min_index(), seq.max_index()).ceiling
     return seq.sup_norm(seq.min_index(), seq.min_index()).ceiling
-
-
-def _simpson_weights(n: int, h: float) -> np.ndarray:
-    if n % 2 or n < 2:
-        raise ValueError("Simpson rule needs an even node count >= 2")
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * (h / 3.0)
-
-
-def _expm_stack(A: np.ndarray, h: float, n: int) -> np.ndarray:
-    """Matrices ``expm(A * i * h)`` for ``i = 0..n`` via cumulative products."""
-    m = A.shape[0]
-    E = matrixkit.expm(h * A)
-    out = np.empty((n + 1, m, m))
-    out[0] = np.eye(m)
-    for i in range(1, n + 1):
-        out[i] = out[i - 1] @ E
-    return out
-
-
-def _gap_node_count(
-    model: ImpulsiveModel, cert: StabilityCert, tol: float, sup_sequence: float
-) -> int:
-    """Even Simpson node count per gap meeting the quadrature error budget.
-
-    Composite Simpson error over a gap is bounded by
-    ``stride * h^4 / 180`` times a bound on the fourth derivative of
-    ``expm(A tau) (f + term)``; weighting the per-gap errors by the decay
-    certificate turns half the tolerance into a per-gap budget.
-    """
-    ts = model.ts
-    A = model.matrix
-    stride = ts.stride
-    a_norm = matrixkit.spectral_norm(A)
-    sample = np.linspace(0.0, stride, 33)
-    max_e = max(matrixkit.spectral_norm(matrixkit.expm(t * A)) for t in sample)
-    max_e *= math.exp(a_norm * stride / 32.0)
-
-    fourth = 0.0
-    for j in range(5):
-        fourth += math.comb(4, j) * a_norm ** j * model.forcing.derivative_bound(4 - j)
-    fourth += a_norm ** 4 * sup_sequence
-    fourth *= max_e
-
-    rate, N = cert.decay_rate, cert.prefactor
-    budget = (tol / 2.0) / (N / (1.0 - math.exp(-rate * stride)) + 1.0)
-    n_width = math.ceil(stride / min(0.1, stride / 50.0))
-    if fourth > 0.0:
-        n_acc = math.ceil((stride ** 5 * fourth / (180.0 * budget)) ** 0.25)
-    else:
-        n_acc = 2
-    n = max(n_width, n_acc, 2)
-    n += n % 2
-    if n > 2_000_000:
-        raise ValueError(f"tolerance {tol} needs an impractically fine quadrature")
-    return n

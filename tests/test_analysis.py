@@ -83,7 +83,7 @@ class TestVerifyPoisson:
     def test_exact_recurrence_gives_zero(self, ts5, forcing5):
         returns = ReturnTimeSet(window=(0, 5), entries=(ReturnEntry(1, 0.0),))
         report = verify_poisson(
-            lambda t: forcing5.value(t), ts5, returns, 1.0, 17.0, 0.25, eps=1e-9
+            forcing5.value_many, ts5, returns, 1.0, 17.0, 0.25, eps=1e-9
         )
         assert report.passed
         assert report.metrics["final_sup_difference"] < 1e-12
@@ -123,7 +123,7 @@ class TestVerifyPoisson:
     def test_requires_returns(self, ts5):
         with pytest.raises(ValueError):
             verify_poisson(
-                lambda t: np.zeros(2), ts5,
+                lambda t: np.zeros((len(t), 2)), ts5,
                 ReturnTimeSet(window=(0, 1), entries=()), 1.0, 17.0, 0.5,
             )
 

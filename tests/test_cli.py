@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tsdyn import ConfigError
+from tsdyn import ConfigError, cli, errors
 from tsdyn.cli import (
     EXIT_OK,
     EXIT_USAGE,
@@ -16,6 +16,16 @@ from tsdyn.cli import (
     read_solution_csv,
     run,
     write_solution_csv,
+)
+
+
+LIBRARY_ERRORS = sorted(
+    (
+        cls for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, errors.TsdynError)
+        and cls is not errors.TsdynError
+    ),
+    key=lambda cls: cls.__name__,
 )
 
 
@@ -191,6 +201,28 @@ class TestMain:
         assert code == EXIT_USAGE
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("error", LIBRARY_ERRORS, ids=lambda cls: cls.__name__)
+    def test_library_error_exits_usage(self, tmp_path, capsys, monkeypatch, example_file, error):
+        def failing(cfg, out):
+            raise error("injected failure")
+
+        monkeypatch.setitem(cli._SUBCOMMANDS, "check", failing)
+        code = main(["check", "--config", str(example_file), "--out", str(tmp_path)])
+        assert code == EXIT_USAGE
+        assert json.loads(capsys.readouterr().err.strip())["error"] == error.__name__
+
+    @pytest.mark.parametrize(
+        "override, error",
+        [("gamma.k_min=-3", "HorizonError"), ("matrix=[[0.0, 0.0], [0.0, 0.0]]", "AssumptionError")],
+    )
+    def test_bounded_library_errors(self, tmp_path, capsys, example_file, override, error):
+        code = main([
+            "bounded", "--config", str(example_file), "--out", str(tmp_path),
+            "--override", override,
+        ])
+        assert code == EXIT_USAGE
+        assert json.loads(capsys.readouterr().err.strip())["error"] == error
 
     def test_deterministic_outputs(self, tmp_path, example_raw):
         example_raw["windows"]["t_end"] = 9.0

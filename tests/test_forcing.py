@@ -14,6 +14,7 @@ from tsdyn import (
     piecewise_forcing_value,
     recurrence_defect,
 )
+from tsdyn.matrixkit import expm
 
 
 class TestTrigForcing:
@@ -37,6 +38,27 @@ class TestTrigForcing:
         pts = np.linspace(ts5.endpoint(-1), ts5.endpoint(0), 1_000_000)
         oracle = math.sqrt(float(np.max(np.sum(forcing5.value_many(pts) ** 2, axis=1))))
         assert forcing5.sup_norm(ts5) == pytest.approx(oracle, rel=1e-6)
+
+    def test_sup_norm_is_upper_bound(self, forcing5, ts5):
+        rng = np.random.default_rng(8)
+        rich = TrigForcing(8.0, tuple(
+            ForcingComponent(rng.uniform(-1, 1), tuple(
+                Harmonic(n, rng.uniform(-1, 1), rng.uniform(-1, 1)) for n in (1, 3, 4)
+            ))
+            for _ in range(3)
+        ))
+        for forcing in (forcing5, rich):
+            pts = np.linspace(ts5.endpoint(-1), ts5.endpoint(0), 1_000_000)
+            dense = math.sqrt(float(np.max(np.sum(forcing.value_many(pts) ** 2, axis=1))))
+            bound = forcing.sup_norm(ts5)
+            assert dense <= bound <= dense * (1.0 + 1e-2)
+
+    def test_realization(self, forcing5):
+        t0 = 4.3
+        C, W, z0 = forcing5.realization(t0)
+        for u in (0.0, 0.7, 5.0, 11.2):
+            want = forcing5.value(t0 + u)
+            assert np.allclose(C @ expm(u * W) @ z0, want, atol=1e-13)
 
     def test_sup_norm_trivial_cases(self):
         assert TrigForcing.zero(3, 8.0).sup_norm() == 0.0

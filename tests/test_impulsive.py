@@ -11,14 +11,12 @@ from tsdyn import (
     ImpulsiveModel,
     LogisticSequence,
     TrigForcing,
-    bounded_solution,
     certify,
     check_contractive_period,
     check_invertible_jump,
     integrate,
     matriciant,
-    periodic_component,
-    poisson_component,
+    solution_bound,
 )
 from tsdyn.matrixkit import expm, spectral_norm
 
@@ -181,7 +179,8 @@ class TestBoundedSolution:
     def test_zero_forcing_gives_zero(self, ts5):
         model = quiet_model(ts5, ROTATION_A, 2)
         cert = certify(model)
-        assert np.allclose(bounded_solution(model, cert, 3.3), np.zeros(2), atol=1e-12)
+        ev = BoundedSolutionEvaluator(model, cert)
+        assert np.allclose(ev.value(3.3), np.zeros(2), atol=1e-12)
 
     def test_scalar_closed_form(self, ts5):
         # 1-d system, constant forcing c, zero sequence: the bounded solution
@@ -209,7 +208,7 @@ class TestBoundedSolution:
             count += 1
             total += ts5.gap * c * math.exp(a * (s - lower)) * q ** (count - 1)
             upper = lower
-        got = bounded_solution(model, cert, s, tol=1e-9)
+        got = BoundedSolutionEvaluator(model, cert, tol=1e-9).value(s)
         assert got[0] == pytest.approx(total, abs=1e-9)
         # and the equation itself pins the constant solution -c/a
         assert got[0] == pytest.approx(-c / a, abs=1e-9)
@@ -251,6 +250,11 @@ class TestBoundedSolution:
         worst = max(np.linalg.norm(ev.value(s)) for s in np.linspace(-20.0, 20.0, 161))
         assert worst <= ev.sup_bound
 
+    def test_sup_bound_is_solution_bound(self, model5, cert5, ts5):
+        ev = BoundedSolutionEvaluator(model5, cert5, tol=1e-8)
+        sup_seq = model5.sequence.sup_norm(-2000, -2000).ceiling
+        assert ev.sup_bound == solution_bound(cert5, ts5, model5.forcing.sup_norm(ts5), sup_seq)
+
     def test_horizon_error_for_shallow_seed(self, ts5, forcing5):
         shallow = LogisticSequence(3.9, 0.4, k_min=-4, output_map=(1.0, 2.0))
         model = ImpulsiveModel(matrix=ROTATION_A, ts=ts5, forcing=forcing5, sequence=shallow)
@@ -263,18 +267,18 @@ class TestBoundedSolution:
 class TestComponents:
     def test_zero_sequence_means_zero_poisson_part(self, model5_no_sequence):
         cert = certify(model5_no_sequence)
-        assert np.allclose(
-            poisson_component(model5_no_sequence, cert, 4.2), np.zeros(2), atol=1e-12
-        )
-        full = bounded_solution(model5_no_sequence, cert, 4.2)
-        per = periodic_component(model5_no_sequence, cert, 4.2)
+        poi = BoundedSolutionEvaluator(model5_no_sequence, cert, include_periodic=False)
+        assert np.allclose(poi.value(4.2), np.zeros(2), atol=1e-12)
+        full = BoundedSolutionEvaluator(model5_no_sequence, cert).value(4.2)
+        per = BoundedSolutionEvaluator(
+            model5_no_sequence, cert, include_sequence=False
+        ).value(4.2)
         assert np.allclose(full, per, atol=1e-12)
 
     def test_zero_forcing_means_zero_periodic_part(self, model5_no_forcing):
         cert = certify(model5_no_forcing)
-        assert np.allclose(
-            periodic_component(model5_no_forcing, cert, 4.2), np.zeros(2), atol=1e-12
-        )
+        per = BoundedSolutionEvaluator(model5_no_forcing, cert, include_sequence=False)
+        assert np.allclose(per.value(4.2), np.zeros(2), atol=1e-12)
 
     def test_periodic_component_is_stride_periodic(self, model5, cert5):
         ev = BoundedSolutionEvaluator(model5, cert5, tol=1e-8, include_sequence=False)
