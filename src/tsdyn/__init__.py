@@ -37,7 +37,6 @@ from .forcing import (
     TableSequence,
     TrigForcing,
     find_return_times,
-    piecewise_forcing_value,
     recurrence_defect,
 )
 from .impulsive import (
@@ -92,7 +91,6 @@ __all__ = [
     "lift",
     "matriciant",
     "mpps_report",
-    "piecewise_forcing_value",
     "recurrence_defect",
     "simulate_dynamic",
     "solution_bound",

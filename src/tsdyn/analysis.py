@@ -19,9 +19,8 @@ from .dynamic import TimeScaleSolution, simulate_dynamic
 from .errors import TimeScaleDomainError
 from .forcing import ReturnTimeSet
 from .impulsive import ImpulsiveModel, StabilityCert, solution_bound
-from .timescale import TimeScaleSpec
+from .timescale import TimeScaleSpec, sample_index
 
-_ABSCISSA_RTOL = 2.0 ** -40
 _SEPARATION_FLOOR = 1e-12
 _DEFAULT_SLACK = 0.10
 _DEFAULT_EPS_FACTOR = 5.0
@@ -75,14 +74,9 @@ def verify_periodic(
     deviations: list[float] = []
     t = theta1.t
     for i in range(t.size):
-        target = t[i] + period
-        idx = int(np.searchsorted(t, target))
-        for j in (idx - 1, idx, idx + 1):
-            if 0 <= j < t.size and abs(t[j] - target) <= _ABSCISSA_RTOL * max(
-                1.0, abs(target)
-            ):
-                deviations.append(float(np.linalg.norm(theta1.y[j] - theta1.y[i])))
-                break
+        j = sample_index(t, t[i] + period)
+        if j is not None:
+            deviations.append(float(np.linalg.norm(theta1.y[j] - theta1.y[i])))
     for k, v in theta1.endpoint_values.items():
         if k + 1 in theta1.endpoint_values:
             deviations.append(float(np.linalg.norm(theta1.endpoint_values[k + 1] - v)))

@@ -7,7 +7,7 @@ Usage::
 Subcommands
 -----------
 check      spectral assumption checks plus the decay certificate -> check.json
-simulate   direct simulation on the time scale -> trajectory.csv
+simulate   RK4 simulation read back on the time scale -> trajectory.csv
 bounded    bounded-solution samples -> bounded.csv
 decompose  periodic / Poisson components -> theta1.csv, theta2.csv
 returns    return-time mining -> returns.json

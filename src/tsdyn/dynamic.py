@@ -1,6 +1,7 @@
-"""Solutions living on the time scale itself: direct simulation of the
-dynamic equation, lifting of impulsive-side evaluations through the psi
-substitution, delta-derivative residuals, and the periodic/Poisson split.
+"""Solutions living on the time scale itself: simulation of the dynamic
+equation as the impulsive march read back on the scale, lifting of
+impulsive-side evaluations through the psi substitution, delta-derivative
+residuals, and the periodic/Poisson split.
 
 A solution on the scale stores regular samples for points where psi is
 defined and keeps the values at left endpoints (where psi is undefined and
@@ -10,22 +11,21 @@ nothing ever interpolates across a hole.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import MissingSampleError, TimeScaleDomainError
-from .impulsive import (
-    BoundedSolutionEvaluator,
-    ImpulsiveModel,
-    StabilityCert,
-    _rk4_segment,
+from .impulsive import BoundedSolutionEvaluator, ImpulsiveModel, StabilityCert, _march
+from .timescale import (
+    GAP,
+    LEFT_ENDPOINT,
+    RIGHT_ENDPOINT,
+    TimeScaleSpec,
+    _edge_tol,
+    sample_index,
 )
-from .timescale import GAP, LEFT_ENDPOINT, RIGHT_ENDPOINT, TimeScaleSpec
-
-_ABSCISSA_RTOL = 2.0 ** -40
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,7 +35,7 @@ class TimeScaleSolution:
     ``t``/``y`` hold strictly increasing samples away from left endpoints;
     ``endpoint_values`` maps ``k`` to the value at ``endpoint(2k+1)``, i.e.
     the state right after the k-th jump.  ``provenance`` records whether the
-    object came from direct simulation or from lifting an impulsive-side
+    object came from simulation or from lifting an impulsive-side
     evaluation.
     """
 
@@ -69,13 +69,10 @@ class TimeScaleSolution:
                 return self.endpoint_values[k - 1]
             except KeyError:
                 raise MissingSampleError(f"no endpoint value stored for t={t!r}") from None
-        idx = int(np.searchsorted(self.t, t))
-        for i in (idx - 1, idx, idx + 1):
-            if 0 <= i < self.t.size and abs(self.t[i] - t) <= _ABSCISSA_RTOL * max(
-                1.0, abs(t)
-            ):
-                return self.y[i]
-        raise MissingSampleError(f"no sample stored at t={t!r}")
+        i = sample_index(self.t, t)
+        if i is None:
+            raise MissingSampleError(f"no sample stored at t={t!r}")
+        return self.y[i]
 
     def max_norm(self) -> float:
         """Largest sample norm, endpoint values included."""
@@ -92,71 +89,50 @@ def simulate_dynamic(
     t_end: float,
     step: float,
 ) -> TimeScaleSolution:
-    """Integrate the dynamic equation directly on the time scale.
+    """Integrate the dynamic equation: the impulsive march read back on the scale.
 
-    Fourth-order fixed-step integration of ``y' = A y + f(t) + g(t)`` on each
-    interval, followed by the exact discrete update
-    ``y(next_left) = y(right) + gap * (A y(right) + f(right) + term_k)``
-    at each right-scattered endpoint.  ``t0`` may be a left endpoint, in
-    which case ``y0`` supplies the value there.
+    A point ``t`` of the scale is the pair ``(s, k)`` with ``t = s + k*gap``.
+    The fixed-step RK4 march of :func:`tsdyn.impulsive.integrate` runs from
+    the pair of ``t0`` to the pair of ``t_end``; its jump
+    ``y(next_left) = y(right) + gap * (A y(right) + f(right) + term_k)`` is
+    the exact discrete update at each right-scattered endpoint, and its
+    right limits become the values at left endpoints.  ``t0`` may be a left
+    endpoint, in which case ``y0`` supplies the value there.
     """
     if step <= 0.0:
         raise ValueError(f"step must be positive, got {step!r}")
     ts = model.ts
-    if not ts.contains(t0):
+    k0, start = ts.locate(t0)
+    k1, end = ts.locate(t_end)
+    if start == GAP:
         raise TimeScaleDomainError(f"t0={t0!r} is not in the time scale")
-    if not ts.contains(t_end):
+    if end == GAP:
         raise TimeScaleDomainError(f"t_end={t_end!r} is not in the time scale")
     if t_end <= t0:
         raise ValueError(f"requires t0 < t_end, got t0={t0!r}, t_end={t_end!r}")
-
-    A = model.matrix
     y = np.asarray(y0, dtype=float).copy()
     if y.shape != (model.dimension,):
         raise ValueError(f"y0 must have shape ({model.dimension},)")
 
-    samples_t: list[float] = []
-    samples_y: list[np.ndarray] = []
-    endpoint_values: dict[int, np.ndarray] = {}
-    f_at_right = model.forcing.value(ts.anchor)
-
-    k, code = ts.locate(t0)
-    if code == LEFT_ENDPOINT:
-        endpoint_values[k - 1] = y.copy()
-        cursor = ts.endpoint(2 * k - 1)
+    # a left endpoint is the right limit at the impulse before it; a right
+    # endpoint must not round past its own impulse
+    if start == LEFT_ENDPOINT:
+        s0 = ts.impulse_point(k0 - 1)
     else:
-        samples_t.append(t0)
-        samples_y.append(y.copy())
-        cursor = t0
-
-    end_tol = _ABSCISSA_RTOL * max(1.0, abs(t_end))
-    while cursor < t_end - end_tol:
-        right = ts.endpoint(2 * k)
-        seg_end = min(right, t_end)
-        length = seg_end - cursor
-        if length > _ABSCISSA_RTOL * max(1.0, abs(seg_end)):
-            n = max(1, math.ceil(length / step))
-            h = length / n
-            nodes = cursor + length * np.arange(2 * n + 1) / (2.0 * n)
-            u = model.forcing.value_many(nodes) + model.sequence.term(k)
-            rec: list[np.ndarray] = []
-            y = _rk4_segment(A, u, h, n, y, rec)
-            samples_t.extend(cursor + h * (i + 1) for i in range(n - 1))
-            samples_t.append(seg_end)
-            samples_y.extend(rec)
-        if abs(seg_end - right) <= _ABSCISSA_RTOL * max(1.0, abs(right)) and right < t_end - end_tol:
-            y = y + ts.gap * (A @ y + f_at_right + model.sequence.term(k))
-            endpoint_values[k] = y.copy()
-            k += 1
-            cursor = ts.endpoint(2 * k - 1)
-        else:
-            cursor = seg_end
+        s0 = min(t0 - k0 * ts.gap, ts.impulse_point(k0))
+    s1 = ts.impulse_point(k1 - 1) if end == LEFT_ENDPOINT else t_end - k1 * ts.gap
+    s, y, jumps = _march(model, y, s0, s1, k0, k1, step)
+    endpoint_values = {jump.index: jump.after for jump in jumps}
+    if start == LEFT_ENDPOINT:
+        endpoint_values[k0 - 1] = y[0]
+        s, y = s[1:], y[1:]
+    # each jump strictly below a sample moves it one gap further right; the
+    # shift is added in place, a slice per gap, to allocate no array per sample
+    bounds = np.searchsorted(s, [jump.s for jump in jumps], side="right")
+    for j, (lo, hi) in enumerate(zip([0, *bounds], [*bounds, s.size])):
+        s[lo:hi] += ts.gap * (k0 + j)
     return TimeScaleSolution(
-        ts=ts,
-        t=np.asarray(samples_t),
-        y=np.vstack(samples_y),
-        endpoint_values=endpoint_values,
-        provenance="simulated",
+        ts=ts, t=s, y=y, endpoint_values=endpoint_values, provenance="simulated"
     )
 
 
@@ -263,12 +239,12 @@ def delta_residual(model: ImpulsiveModel, sol: TimeScaleSolution, t: float) -> f
         quotient = (y_next - y_t) / ts.gap
         return float(np.linalg.norm(quotient - rhs))
     idx = int(np.searchsorted(sol.t, t, side="right"))
-    while idx < sol.t.size and abs(sol.t[idx] - t) <= _ABSCISSA_RTOL * max(1.0, abs(t)):
+    while idx < sol.t.size and abs(sol.t[idx] - t) <= _edge_tol(t):
         idx += 1  # skip samples the abscissa snap treats as t itself
     if idx >= sol.t.size:
         raise MissingSampleError(f"no forward neighbor stored after t={t!r}")
     t_next = float(sol.t[idx])
-    if t_next > ts.endpoint(2 * k) + _ABSCISSA_RTOL * max(1.0, abs(t_next)):
+    if t_next > ts.endpoint(2 * k) + _edge_tol(t_next):
         raise MissingSampleError(
             f"forward neighbor of t={t!r} falls outside its interval"
         )

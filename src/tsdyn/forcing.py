@@ -339,11 +339,6 @@ class TableSequence:
 PoissonSequence = Union[LogisticSequence, TableSequence]
 
 
-def piecewise_forcing_value(seq: PoissonSequence, ts: TimeScaleSpec, t: float) -> np.ndarray:
-    """Sequence-driven forcing at ``t``: the term indexed by t's interval."""
-    return seq.term(ts.interval_index(t))
-
-
 # ----------------------------------------------------------------------
 # return-time mining
 

@@ -8,6 +8,11 @@ collects the collapsed periodic forcing and the piecewise-constant sequence
 forcing; at each impulse moment the state jumps by
 ``gap * (A x + f(psi_inv(s_k)) + term_k)``.
 
+Forward integration is one RK4-plus-jump march.  ``integrate`` runs it on
+the line; ``dynamic.simulate_dynamic`` runs the same march and reads it back
+on the time scale, a point ``t`` of the scale being the pair ``(s, k)`` with
+``t = s + k * gap``.
+
 Because every factor appearing in the transition matrix is a function of the
 single matrix ``A``, matrix exponentials and jump factors commute.  The
 bounded-solution evaluator uses this to write the convolution over the
@@ -28,12 +33,11 @@ import numpy as np
 from . import matrixkit
 from .errors import AssumptionError, ConvergenceError, HorizonError, MissingSampleError
 from .forcing import PoissonSequence, TrigForcing
-from .timescale import TimeScaleSpec
+from .timescale import TimeScaleSpec, _edge_tol, _snapped_ceil, sample_index
 
 _DET_FLOOR = 1e-10
 _RADIUS_MARGIN = 1e-10
 _DECAY_SAFETY = 0.9
-_ABSCISSA_RTOL = 2.0 ** -40
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,7 +86,7 @@ class AssumptionCheck(NamedTuple):
 
 def check_invertible_jump(model: ImpulsiveModel) -> AssumptionCheck:
     """First assumption: the jump factor ``I + gap*A`` is invertible."""
-    value = float(matrixkit.det(model.jump_factor))
+    value = float(np.linalg.det(model.jump_factor))
     return AssumptionCheck(passed=bool(abs(value) > _DET_FLOOR), value=value)
 
 
@@ -232,19 +236,15 @@ class Trajectory:
 
     def value(self, s: float) -> np.ndarray:
         """Sample value at abscissa ``s`` (must match a stored mesh point)."""
-        idx = int(np.searchsorted(self.s, s))
-        for i in (idx - 1, idx, idx + 1):
-            if 0 <= i < self.s.size and abs(self.s[i] - s) <= _ABSCISSA_RTOL * max(
-                1.0, abs(s)
-            ):
-                return self.x[i]
-        raise MissingSampleError(f"no sample stored at s={s!r}")
+        i = sample_index(self.s, s)
+        if i is None:
+            raise MissingSampleError(f"no sample stored at s={s!r}")
+        return self.x[i]
 
 
-def _rk4_segment(A, u_half_nodes, h, n, y0, record=None):
+def _rk4_segment(A, u_half_nodes, h, n, y, record):
     """Classical RK4 for ``y' = A y + u`` with forcing pre-tabulated at the
     half-step mesh (2n+1 nodes).  Appends every post-step state to record."""
-    y = y0
     for i in range(n):
         u0 = u_half_nodes[2 * i]
         um = u_half_nodes[2 * i + 1]
@@ -254,8 +254,7 @@ def _rk4_segment(A, u_half_nodes, h, n, y0, record=None):
         k3 = A @ (y + 0.5 * h * k2) + um
         k4 = A @ (y + h * k3) + u1
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if record is not None:
-            record.append(y)
+        record.append(y)
     return y
 
 
@@ -265,6 +264,44 @@ def _collapsed_forcing_nodes(model: ImpulsiveModel, a: float, b: float, n: int, 
     nodes = a + (b - a) * np.arange(2 * n + 1) / (2.0 * n)
     fvals = model.forcing.value_many(nodes + k * model.ts.gap)
     return fvals + model.sequence.term(k)
+
+
+def _march(model: ImpulsiveModel, x, s0: float, s1: float, k0: int, k1: int, step: float):
+    """The one RK4-plus-jump loop, from ``(s0, k0)`` to ``(s1, k1)``.
+
+    A point ``t`` of the time scale is the pair ``(s, k)`` with
+    ``t = s + k * gap``, where ``k`` indexes the gap whose impulse is still
+    ahead.  Each impulse-free segment is integrated by fixed-step RK4, and
+    jump ``k`` fires at ``impulse_point(k)`` for every ``k0 <= k < k1``.
+    Returns the sample abscissae on the line (left limits at impulse
+    moments, the segment ends written exactly), the states and the jump
+    records.
+    """
+    A = model.matrix
+    ts = model.ts
+    ss: list[float] = [s0]
+    xs: list[np.ndarray] = [x]
+    jumps: list[JumpRecord] = []
+    f_at_right = model.forcing.value(ts.anchor)  # f(psi_inv(s_k)) for every k
+    cursor = s0
+    for k in range(k0, k1 + 1):
+        seg_end = ts.impulse_point(k) if k < k1 else s1
+        length = seg_end - cursor
+        if length > _edge_tol(seg_end):
+            # a length that is a whole number of steps up to rounding takes
+            # that many, whichever coordinates it was measured in
+            n = max(1, _snapped_ceil(length / step))
+            h = length / n
+            u = _collapsed_forcing_nodes(model, cursor, seg_end, n, k)
+            x = _rk4_segment(A, u, h, n, x, xs)
+            ss.extend(cursor + h * (i + 1) for i in range(n - 1))
+            ss.append(seg_end)
+        if k < k1:
+            before = x
+            x = x + ts.gap * (A @ x + f_at_right + model.sequence.term(k))
+            jumps.append(JumpRecord(index=k, s=seg_end, before=before, after=x))
+        cursor = seg_end
+    return np.asarray(ss), np.vstack(xs), tuple(jumps)
 
 
 def integrate(
@@ -284,39 +321,13 @@ def integrate(
         raise ValueError(f"step must be positive, got {step!r}")
     if s1 < s0:
         raise ValueError(f"requires s0 <= s1, got s0={s0!r}, s1={s1!r}")
-    A = model.matrix
-    ts = model.ts
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (model.dimension,):
         raise ValueError(f"x0 must have shape ({model.dimension},)")
-
-    ss: list[float] = [s0]
-    xs: list[np.ndarray] = [x]
-    jumps: list[JumpRecord] = []
-    f_at_right = model.forcing.value(ts.anchor)  # f(psi_inv(s_k)) for every k
-
-    cursor = s0
-    k = ts.impulse_index_below(s0) + 1  # gap index containing (cursor, next impulse]
-    while cursor < s1 - _ABSCISSA_RTOL * max(1.0, abs(s1)):
-        seg_end = min(ts.impulse_point(k), s1)
-        length = seg_end - cursor
-        if length > _ABSCISSA_RTOL * max(1.0, abs(seg_end)):
-            n = max(1, math.ceil(length / step))
-            u = _collapsed_forcing_nodes(model, cursor, seg_end, n, k)
-            rec: list[np.ndarray] = []
-            x = _rk4_segment(A, u, length / n, n, x, rec)
-            h = length / n
-            ss.extend(cursor + h * (i + 1) for i in range(n - 1))
-            ss.append(seg_end)  # last abscissa written exactly
-            xs.extend(rec)
-        sk = ts.impulse_point(k)
-        if abs(seg_end - sk) <= _ABSCISSA_RTOL * max(1.0, abs(sk)) and sk < s1:
-            before = x
-            x = x + ts.gap * (A @ x + f_at_right + model.sequence.term(k))
-            jumps.append(JumpRecord(index=k, s=sk, before=before, after=x))
-            k += 1
-        cursor = seg_end
-    return Trajectory(s=np.asarray(ss), x=np.vstack(xs), jumps=tuple(jumps))
+    ts = model.ts
+    k0, k1 = ts.impulse_index_below(s0) + 1, ts.impulse_index_below(s1) + 1
+    s, x, jumps = _march(model, x, s0, s1, k0, k1, step)
+    return Trajectory(s=s, x=x, jumps=jumps)
 
 
 # ----------------------------------------------------------------------

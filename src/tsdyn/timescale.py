@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import TimeScaleDomainError
 
 # Boundary snap: points within 2**-40 * max(1, |t|) of an interval edge are
@@ -38,6 +40,16 @@ GAP = "gap"
 
 def _edge_tol(t: float) -> float:
     return _BOUNDARY_RTOL * max(1.0, abs(t))
+
+
+def sample_index(grid: np.ndarray, t: float) -> int | None:
+    """Index of the entry of the increasing ``grid`` that the boundary snap
+    treats as ``t`` itself, or None when no entry lies that close."""
+    idx = int(np.searchsorted(grid, t))
+    for i in (idx - 1, idx):
+        if 0 <= i < grid.size and abs(grid[i] - t) <= _edge_tol(t):
+            return i
+    return None
 
 
 def _snapped_ceil(u: float) -> int:
@@ -156,13 +168,6 @@ class TimeScaleSpec:
     def contains(self, t: float) -> bool:
         """True iff ``t`` belongs to the time scale."""
         return self.locate(t)[1] != GAP
-
-    def interval_index(self, t: float) -> int:
-        """Index ``k`` of the closed interval containing ``t``."""
-        k, code = self.locate(t)
-        if code == GAP:
-            raise TimeScaleDomainError(f"t={t!r} lies in a hole of the time scale")
-        return k
 
     # ------------------------------------------------------------------
     # jump operators

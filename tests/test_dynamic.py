@@ -7,6 +7,7 @@ from tsdyn import (
     MissingSampleError,
     TimeScaleDomainError,
     TimeScaleSolution,
+    TimeScaleSpec,
     TrigForcing,
     as_timescale_function,
     certify,
@@ -14,8 +15,11 @@ from tsdyn import (
     delta_residual,
     integrate,
     lift,
+    matriciant,
     simulate_dynamic,
 )
+
+from tsdyn.timescale import LEFT_ENDPOINT, RIGHT_ENDPOINT
 
 from conftest import ROTATION_A, zero_table
 
@@ -88,6 +92,52 @@ class TestSimulateDynamic:
             for i in (sol.t.size // 3, sol.t.size - 1):
                 assert ts5.psi(float(sol.t[i])) == pytest.approx(float(traj.s[i]), abs=1e-9)
                 assert np.linalg.norm(sol.y[i] - traj.x[i]) < 1e-9
+
+    @pytest.mark.parametrize(
+        "t0, t_end, jumps",
+        [
+            (0.3, 30.5, {0, 1, 2, 3}),  # interior start and end
+            (4.0, 30.5, {0, 1, 2, 3}),  # start on a left endpoint
+            (0.3, 12.0, {0, 1}),        # end on a left endpoint
+            (4.0, 28.0, {0, 1, 2, 3}),  # both
+        ],
+    )
+    def test_zero_forcing_matches_matriciant(self, ts5, t0, t_end, jumps):
+        # without forcing the state is the transition matrix applied to the
+        # start, which matriciant gives in closed form, with no integrator
+        model = quiet_model(ts5)
+        y0 = np.array([0.7, -0.4])
+        sol = simulate_dynamic(model, y0, t0, t_end, 1e-2)
+        assert set(sol.endpoint_values) == jumps
+        k0, code = ts5.locate(t0)
+        if code == LEFT_ENDPOINT:
+            # y0 is the right limit at impulse k0 - 1: undo that jump so the
+            # transition matrix from the impulse moment applies it again
+            r = ts5.impulse_point(k0 - 1)
+            x0 = np.linalg.solve(model.jump_factor, y0)
+        else:
+            r, x0 = ts5.psi(t0), y0
+        for t, y in zip(sol.t, sol.y):
+            want = matriciant(model, ts5.psi(float(t)), r) @ x0
+            assert np.linalg.norm(y - want) < 1e-8
+        for k, y in sol.endpoint_values.items():
+            if k >= k0:  # endpoint values the simulation computed
+                want = model.jump_factor @ matriciant(model, ts5.impulse_point(k), r) @ x0
+                assert np.linalg.norm(y - want) < 1e-8
+
+    def test_right_endpoints_of_a_non_dyadic_scale(self):
+        # on this scale t - k*gap rounds past impulse_point(k) at about a
+        # third of the right endpoints, and an interval is a whole number of
+        # steps long only up to rounding
+        ts = TimeScaleSpec(anchor=0.3, period=0.7, gap=0.2)
+        model = quiet_model(ts)
+        y0 = np.array([0.7, -0.4])
+        for k in range(40):
+            sol = simulate_dynamic(model, y0, ts.endpoint(2 * k), ts.endpoint(2 * k + 2), 1e-2)
+            assert ts.locate(float(sol.t[0])) == (k, RIGHT_ENDPOINT)
+            assert np.array_equal(sol.y[0], y0)
+            assert set(sol.endpoint_values) == {k}
+            assert sol.t.size == 1 + 50  # the start, then 50 steps over the next interval
 
     def test_start_on_left_endpoint_uses_given_value(self, model5):
         y0 = np.array([1.0, 1.0])

@@ -11,7 +11,6 @@ from tsdyn import (
     TimeScaleSpec,
     TrigForcing,
     find_return_times,
-    piecewise_forcing_value,
     recurrence_defect,
 )
 from tsdyn.matrixkit import expm
@@ -156,21 +155,6 @@ class TestTableSequence:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             TableSequence({0: [1.0], 1: [1.0, 2.0]})
-
-
-class TestPiecewiseForcing:
-    def test_interval_values(self, sequence5, ts5):
-        assert np.array_equal(piecewise_forcing_value(sequence5, ts5, 0.0), sequence5.term(0))
-        assert np.array_equal(piecewise_forcing_value(sequence5, ts5, 9.0), sequence5.term(1))
-        # shared right endpoint belongs to its own interval
-        assert np.array_equal(piecewise_forcing_value(sequence5, ts5, 1.0), sequence5.term(0))
-        assert np.array_equal(piecewise_forcing_value(sequence5, ts5, 4.0), sequence5.term(1))
-
-    def test_constant_on_interval(self, sequence5, ts5):
-        for t in np.linspace(4.0, 9.0, 17):
-            assert np.array_equal(
-                piecewise_forcing_value(sequence5, ts5, float(t)), sequence5.term(1)
-            )
 
 
 class TestReturnTimes:

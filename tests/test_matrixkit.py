@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from tsdyn.matrixkit import det, expm, int_power, spectral_norm, spectral_radius
+from tsdyn.matrixkit import expm, int_power, spectral_norm, spectral_radius
 
 from conftest import ROTATION_A
 
@@ -45,7 +45,7 @@ class TestExpm:
         rng = np.random.default_rng(3)
         for _ in range(20):
             M = random_matrix(rng, 3)
-            assert det(expm(M)) == pytest.approx(math.exp(np.trace(M)), rel=1e-8)
+            assert np.linalg.det(expm(M)) == pytest.approx(math.exp(np.trace(M)), rel=1e-8)
 
     def test_against_scipy(self):
         rng = np.random.default_rng(4)
@@ -69,24 +69,6 @@ class TestIntPower:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             int_power(np.eye(2), -1)
-
-
-class TestDet:
-    def test_identity(self):
-        assert det(np.eye(4)) == 1.0
-
-    def test_worked_example(self):
-        assert det(np.eye(2) + 3.0 * ROTATION_A) == pytest.approx(0.4, abs=1e-15)
-
-    def test_singular(self):
-        v = np.array([[1.0], [2.0]])
-        assert det(v @ v.T) == pytest.approx(0.0, abs=1e-14)
-
-    def test_against_numpy(self):
-        rng = np.random.default_rng(6)
-        for m in (1, 2, 5, 9):
-            M = random_matrix(rng, m)
-            assert det(M) == pytest.approx(np.linalg.det(M), rel=1e-10, abs=1e-12)
 
 
 class TestSpectralRadius:

@@ -1,6 +1,7 @@
-"""Property tests of the closed-form bounded-solution evaluator on random
-stable systems: batched and single-point evaluation agree, the value matches
-forward integration from deep in the past, the periodic component is
+"""Property tests on random stable systems: the decay certificate bounds the
+transition matrices, and for the closed-form bounded-solution evaluator,
+batched and single-point evaluation agree, the value matches forward
+integration from deep in the past, the periodic component is
 stride-periodic, and the two components sum to the full solution."""
 
 import numpy as np
@@ -20,6 +21,7 @@ from tsdyn import (
     check_contractive_period,
     check_invertible_jump,
     integrate,
+    matriciant,
 )
 
 # Deterministic example generation keeps the suite reproducible.
@@ -36,8 +38,8 @@ coefficient = st.floats(-1.0, 1.0, allow_nan=False)
 
 
 @st.composite
-def stable_models(draw):
-    m = draw(st.integers(1, 4))
+def stable_models(draw, max_dimension=4):
+    m = draw(st.integers(1, max_dimension))
     period = draw(st.sampled_from([6.0, 7.0, 8.0]))
     gap = draw(st.floats(0.2, 0.5)) * period
     anchor = draw(st.floats(0.0, 0.9)) * (period - gap)
@@ -107,3 +109,18 @@ def test_agrees_with_deep_past_integration(model, s):
     ev = BoundedSolutionEvaluator(model, certify(model), TOL)
     traj = integrate(model, np.zeros(model.dimension), s - ev.horizon, s, 2.5e-3)
     assert np.linalg.norm(ev.value(s) - traj.value(s)) <= TOL
+
+
+@settings(PROPERTY_SETTINGS, max_examples=50)
+@given(
+    model=stable_models(max_dimension=8),
+    r=st.lists(st.floats(-20.0, 20.0), min_size=4, max_size=4),
+    fraction=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+)
+def test_certificate_bounds_transition_matrices(model, r, fraction):
+    # ||U(r+q, r)|| <= N exp(-lambda q) for gaps q up to six periods
+    cert = certify(model)
+    for start, share in zip(r, fraction):
+        q = 6.0 * model.ts.period * share
+        norm = np.linalg.norm(matriciant(model, start + q, start), 2)
+        assert norm <= cert.prefactor * np.exp(-cert.decay_rate * q) * (1.0 + 1e-12)

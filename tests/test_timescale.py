@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tsdyn import TimeScaleDomainError, TimeScaleSpec
+from tsdyn.timescale import GAP, INTERIOR, LEFT_ENDPOINT, RIGHT_ENDPOINT
 
 
 def dyadic_scale_points(ts, rng, count, k_range=1000):
@@ -59,6 +60,14 @@ class TestMembership:
         assert ts5.contains(0.0)          # inside [-4, 1]
         assert not ts5.contains(2.0)      # inside the hole (1, 4)
         assert ts5.contains(ts5.anchor)   # endpoints belong to the scale
+
+    def test_locate(self, ts5):
+        assert ts5.locate(1.0) == (0, RIGHT_ENDPOINT)  # shared edge stays in its interval
+        assert ts5.locate(2.0) == (1, GAP)             # hole indexed by the interval after it
+        assert ts5.locate(4.0) == (1, LEFT_ENDPOINT)
+        assert ts5.locate(9.0) == (1, RIGHT_ENDPOINT)
+        for t in np.linspace(4.0, 9.0, 17)[1:-1]:
+            assert ts5.locate(float(t)) == (1, INTERIOR)
 
     def test_boundary_snap(self, ts5):
         assert ts5.contains(1.0 + 1e-14)
