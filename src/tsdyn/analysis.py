@@ -19,7 +19,7 @@ from .dynamic import TimeScaleSolution, simulate_dynamic
 from .errors import TimeScaleDomainError
 from .forcing import ReturnTimeSet
 from .impulsive import ImpulsiveModel, StabilityCert, solution_bound
-from .timescale import TimeScaleSpec, sample_index
+from .timescale import _BOUNDARY_RTOL, TimeScaleSpec, sample_index
 
 _SEPARATION_FLOOR = 1e-12
 _DEFAULT_SLACK = 0.10
@@ -231,7 +231,10 @@ def verify_stability(
         raise RuntimeError("trajectory meshes diverged")  # identical construction
 
     separation = np.linalg.norm(sol_a.y - sol_b.y, axis=1)
-    collapsed = np.array([ts.psi(t) for t in sol_a.t])
+    # psi(t) = t - k*gap with k = ceil((t - anchor)/period) snapped down at
+    # right endpoints; the samples hold no left endpoint
+    u = (sol_a.t - ts.anchor) / ts.period
+    collapsed = sol_a.t - ts.gap * np.ceil(u - _BOUNDARY_RTOL * np.maximum(1.0, np.abs(u)))
     initial = float(np.linalg.norm(np.asarray(y0a, float) - np.asarray(y0b, float)))
 
     envelope = cert.prefactor * initial * np.exp(-cert.decay_rate * (collapsed - s0))

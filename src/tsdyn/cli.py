@@ -56,6 +56,7 @@ import argparse
 import json
 import math
 import sys
+from array import array
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -78,6 +79,8 @@ from .timescale import TimeScaleSpec
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
+
+_CSV_CHUNK_ROWS = 4096
 
 _TOLERANCE_DEFAULTS = {
     "eval_tol": 1e-8,
@@ -283,36 +286,50 @@ def bundled_example_path():
 # output helpers
 
 
-def _format_cell(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_solution_csv(path: Path, sol: dynamic.TimeScaleSolution) -> None:
-    """CSV with columns ``t, y_1..y_m, branch`` at 17 significant digits."""
+    """CSV with columns ``t, y_1..y_m, branch`` at 17 significant digits.
+
+    Rows are sorted by ``t``, a right-endpoint value row before an interior
+    row at the same ``t``, and streamed to the file one format per row.
+    """
     m = sol.dimension
-    rows = [(float(t), sol.y[i], "interior") for i, t in enumerate(sol.t)]
-    for k, v in sol.endpoint_values.items():
-        rows.append((sol.ts.endpoint(2 * k + 1), v, "right_endpoint_value"))
-    rows.sort(key=lambda row: (row[0], row[2] != "right_endpoint_value"))
-    header = ",".join(["t"] + [f"y_{i + 1}" for i in range(m)] + ["branch"])
-    lines = [header]
-    for t, y, branch in rows:
-        lines.append(",".join([_format_cell(t)] + [_format_cell(v) for v in y] + [branch]))
-    path.write_text("\n".join(lines) + "\n")
+    keys = sorted(sol.endpoint_values)
+    t_endpoint = np.array([sol.ts.endpoint(2 * k + 1) for k in keys], dtype=float)
+    # the interior samples increase strictly, so a merge places each endpoint
+    # row in front of the first interior row at or after its t; no sort
+    endpoint_rows = np.searchsorted(sol.t, t_endpoint) + np.arange(len(keys))
+    is_endpoint = np.zeros(sol.t.size + len(keys), dtype=bool)
+    is_endpoint[endpoint_rows] = True
+    table = np.empty((is_endpoint.size, m + 1))
+    table[endpoint_rows, 0] = t_endpoint
+    table[endpoint_rows, 1:] = np.reshape([sol.endpoint_values[k] for k in keys], (-1, m))
+    table[~is_endpoint, 0] = sol.t
+    table[~is_endpoint, 1:] = sol.y
+    flags = is_endpoint.tolist()
+    cells = "%.17g," * (m + 1)
+    row_formats = (cells + "interior\n", cells + "right_endpoint_value\n")
+    with open(path, "w") as handle:
+        handle.write(",".join(["t"] + [f"y_{i + 1}" for i in range(m)] + ["branch"]) + "\n")
+        # a chunk at a time keeps the Python floats of .tolist() few
+        for lo in range(0, len(table), _CSV_CHUNK_ROWS):
+            chunk = table[lo:lo + _CSV_CHUNK_ROWS].tolist()
+            for row, endpoint in zip(chunk, flags[lo:lo + _CSV_CHUNK_ROWS]):
+                handle.write(row_formats[endpoint] % tuple(row))
 
 
 def read_solution_csv(path: Path):
-    """Parse a solution CSV back into (t, y, branch) arrays."""
-    lines = Path(path).read_text().strip().splitlines()
-    header = lines[0].split(",")
-    m = len(header) - 2
-    ts, ys, branches = [], [], []
-    for line in lines[1:]:
-        parts = line.split(",")
-        ts.append(float(parts[0]))
-        ys.append([float(v) for v in parts[1: 1 + m]])
-        branches.append(parts[-1])
-    return np.asarray(ts), np.asarray(ys), branches
+    """Parse a solution CSV back into (t, y, branch) arrays, line by line."""
+    values = array("d")
+    branches: list[str] = []
+    with open(path) as handle:
+        m = len(next(handle).split(",")) - 2
+        for line in handle:
+            *cells, branch = line.rstrip("\n").split(",")
+            if branch:  # skip blank lines
+                values.extend(map(float, cells))
+                branches.append(sys.intern(branch))
+    table = np.array(values).reshape(-1, m + 1)
+    return table[:, 0], table[:, 1:], branches
 
 
 def _write_json(path: Path, payload) -> None:

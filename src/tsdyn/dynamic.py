@@ -93,7 +93,9 @@ def simulate_dynamic(
 
     A point ``t`` of the scale is the pair ``(s, k)`` with ``t = s + k*gap``.
     The fixed-step RK4 march of :func:`tsdyn.impulsive.integrate` runs from
-    the pair of ``t0`` to the pair of ``t_end``; its jump
+    the pair of ``t0`` to the pair of ``t_end``.  On each impulse-free segment
+    RK4 is evaluated as the affine recurrence ``y <- R y + c_n`` by a blocked
+    scan (Blelloch 1990), equal to a per-step loop up to round-off; the jump
     ``y(next_left) = y(right) + gap * (A y(right) + f(right) + term_k)`` is
     the exact discrete update at each right-scattered endpoint, and its
     right limits become the values at left endpoints.  ``t0`` may be a left
@@ -167,6 +169,7 @@ def lift(
             return x + ts.gap * pulse
 
     samples_t: list[float] = []
+    samples_s: list[float] = []  # psi(t) = t - k*gap, from the same locate
     jumps: list[int] = []
     for t in sorted(float(t) for t in t_grid):
         k, code = ts.locate(t)
@@ -176,10 +179,11 @@ def lift(
             jumps.append(k - 1)
         elif not samples_t or t > samples_t[-1]:  # skip duplicate grid points
             samples_t.append(t)
+            samples_s.append(t - k * ts.gap)
     return TimeScaleSolution(
         ts=ts,
         t=np.asarray(samples_t),
-        y=values([ts.psi(t) for t in samples_t]),
+        y=values(samples_s),
         endpoint_values={k: np.asarray(right_limit(k), dtype=float) for k in jumps},
         provenance="lifted",
     )
@@ -202,6 +206,7 @@ def as_timescale_function(
         flat = points.reshape(-1).tolist()
         out = np.empty((len(flat), model.dimension))
         regular: list[int] = []
+        collapsed: list[float] = []  # psi(t) = t - k*gap, from the same locate
         jumps: dict[int, int] = {}
         for i, x in enumerate(flat):
             k, code = ts.locate(x)
@@ -211,7 +216,8 @@ def as_timescale_function(
                 jumps[i] = k - 1
             else:
                 regular.append(i)
-        out[regular] = evaluator.values([ts.psi(flat[i]) for i in regular])
+                collapsed.append(x - k * ts.gap)
+        out[regular] = evaluator.values(collapsed)
         for i, k in jumps.items():
             out[i] = evaluator.right_limit(k)
         return out.reshape(points.shape + (model.dimension,))

@@ -11,7 +11,11 @@ forcing; at each impulse moment the state jumps by
 Forward integration is one RK4-plus-jump march.  ``integrate`` runs it on
 the line; ``dynamic.simulate_dynamic`` runs the same march and reads it back
 on the time scale, a point ``t`` of the scale being the pair ``(s, k)`` with
-``t = s + k * gap``.
+``t = s + k * gap``.  On each impulse-free segment the fixed-step RK4
+recurrence is the affine map ``y <- R y + c_n``, evaluated by a blocked
+linear scan (Blelloch, "Prefix sums and their applications", 1990) rather
+than a loop over steps; results differ from a per-step loop only at
+round-off.
 
 Because every factor appearing in the transition matrix is a function of the
 single matrix ``A``, matrix exponentials and jump factors commute.  The
@@ -242,20 +246,48 @@ class Trajectory:
         return self.x[i]
 
 
-def _rk4_segment(A, u_half_nodes, h, n, y, record):
-    """Classical RK4 for ``y' = A y + u`` with forcing pre-tabulated at the
-    half-step mesh (2n+1 nodes).  Appends every post-step state to record."""
-    for i in range(n):
-        u0 = u_half_nodes[2 * i]
-        um = u_half_nodes[2 * i + 1]
-        u1 = u_half_nodes[2 * i + 2]
-        k1 = A @ y + u0
-        k2 = A @ (y + 0.5 * h * k1) + um
-        k3 = A @ (y + 0.5 * h * k2) + um
-        k4 = A @ (y + h * k3) + u1
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        record.append(y)
-    return y
+def _rk4_segment(A, u, h, y):
+    """Classical RK4 for ``y' = A y + u`` over ``n`` steps of size ``h``,
+    with the forcing ``u`` tabulated at the half-step mesh (``2n+1`` nodes).
+    Returns the ``(n, m)`` post-step states.
+
+    With constant ``A`` one RK4 step is the affine map ``y <- R y + c_i``,
+    where, for ``H = h A``, ``R = I + H + H^2/2 + H^3/6 + H^4/24`` and
+    ``c_i = P0 u_2i + Pm u_2i+1 + P1 u_2i+2`` with
+    ``P0 = h/6 (I + H + H^2/2 + H^3/4)``, ``Pm = h/6 (4I + 2H + H^2/2)`` and
+    ``P1 = h/6 I``.  The recurrence is solved as a blocked linear scan
+    (Blelloch, "Prefix sums and their applications", 1990): the steps are
+    cut into blocks of ``b = isqrt(n)``; one loop of ``b`` steps advances
+    every block's zero-start response at once and tabulates ``R^1..R^b``,
+    one loop over the blocks carries the block starts with ``R^b``, and the
+    starts are added back through the powers.  The method is unchanged, so
+    results differ from a per-step loop only at round-off.
+    """
+    m = A.shape[0]
+    n = (len(u) - 1) // 2
+    eye = np.eye(m)
+    H = h * A
+    H2 = H @ H
+    H3 = H2 @ H
+    R = eye + H + H2 / 2.0 + H3 / 6.0 + (H2 @ H2) / 24.0
+    P0 = (h / 6.0) * (eye + H + H2 / 2.0 + H3 / 4.0)
+    Pm = (h / 6.0) * (4.0 * eye + 2.0 * H + H2 / 2.0)
+    b = math.isqrt(n)
+    blocks = -(-n // b)
+    c = np.zeros((blocks * b, m))  # trailing padding steps are discarded
+    c[:n] = u[0:-1:2] @ P0.T + u[1::2] @ Pm.T + (h / 6.0) * u[2::2]
+    z = c.reshape(blocks, b, m)  # zero-start responses, built in place
+    powers = np.empty((b, m, m))  # powers[l] = R^(l+1)
+    powers[0] = R
+    for l in range(1, b):
+        z[:, l] += z[:, l - 1] @ R.T
+        powers[l] = R @ powers[l - 1]
+    starts = np.empty((blocks, m))
+    starts[0] = y
+    for j in range(1, blocks):
+        starts[j] = powers[-1] @ starts[j - 1] + z[j - 1, -1]
+    z += np.einsum("lab,jb->jla", powers, starts)
+    return c[:n]
 
 
 def _collapsed_forcing_nodes(model: ImpulsiveModel, a: float, b: float, n: int, k: int):
@@ -279,8 +311,8 @@ def _march(model: ImpulsiveModel, x, s0: float, s1: float, k0: int, k1: int, ste
     """
     A = model.matrix
     ts = model.ts
-    ss: list[float] = [s0]
-    xs: list[np.ndarray] = [x]
+    ss = [np.array([s0])]
+    xs = [x[np.newaxis]]
     jumps: list[JumpRecord] = []
     f_at_right = model.forcing.value(ts.anchor)  # f(psi_inv(s_k)) for every k
     cursor = s0
@@ -293,15 +325,15 @@ def _march(model: ImpulsiveModel, x, s0: float, s1: float, k0: int, k1: int, ste
             n = max(1, _snapped_ceil(length / step))
             h = length / n
             u = _collapsed_forcing_nodes(model, cursor, seg_end, n, k)
-            x = _rk4_segment(A, u, h, n, x, xs)
-            ss.extend(cursor + h * (i + 1) for i in range(n - 1))
-            ss.append(seg_end)
+            xs.append(_rk4_segment(A, u, h, x))
+            ss.append(np.append(cursor + h * np.arange(1, n), seg_end))
+            x = xs[-1][-1].copy()  # the jump record must not pin the block
         if k < k1:
             before = x
             x = x + ts.gap * (A @ x + f_at_right + model.sequence.term(k))
             jumps.append(JumpRecord(index=k, s=seg_end, before=before, after=x))
         cursor = seg_end
-    return np.asarray(ss), np.vstack(xs), tuple(jumps)
+    return np.concatenate(ss), np.concatenate(xs), tuple(jumps)
 
 
 def integrate(

@@ -116,6 +116,37 @@ class TestCsvRoundTrip:
         write_solution_csv(path, sol)
         assert path.read_text().splitlines()[0] == "t,y_1,y_2,branch"
 
+    def test_bytes_pinned_to_format(self, tmp_path, ts5):
+        from tsdyn import TimeScaleSolution
+
+        tiny, big = 5e-324, np.finfo(float).max
+        sol = TimeScaleSolution(
+            ts=ts5,
+            t=np.array([-1.0, 0.5, 4.0, 6.0]),  # 4.0 is the left endpoint after jump 0
+            y=np.array([[0.0, -0.0], [tiny, -tiny], [big, -big], [1.0 / 3.0, 2.2e-308]]),
+            endpoint_values={0: np.array([-1.0 / 3.0, 1e22]), -1: np.array([0.1, -7.0])},
+            provenance="lifted",
+        )
+        rows = [(t, y, "interior") for t, y in zip(sol.t.tolist(), sol.y)]
+        rows += [(ts5.endpoint(2 * k + 1), y, "right_endpoint_value")
+                 for k, y in sol.endpoint_values.items()]
+        rows.sort(key=lambda row: (row[0], row[2] != "right_endpoint_value"))
+        expected = "t,y_1,y_2,branch\n" + "".join(
+            ",".join([format(float(v), ".17g") for v in (t, *y)] + [branch]) + "\n"
+            for t, y, branch in rows
+        )
+        path = tmp_path / "sol.csv"
+        write_solution_csv(path, sol)
+        assert path.read_bytes() == expected.encode()
+        assert expected.splitlines()[2:5:2] == [
+            "-1,0,-0,interior", "4,-0.33333333333333331,1e+22,right_endpoint_value"
+        ]
+        t, y, branches = read_solution_csv(path)
+        assert branches == [row[2] for row in rows]
+        written = np.column_stack([t, y])
+        table = np.array([[t, *y] for t, y, _ in rows])
+        assert np.array_equal(written.view(np.int64), table.view(np.int64))
+
 
 class TestSubcommands:
     def test_check_worked_example(self, tmp_path):

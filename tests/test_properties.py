@@ -2,10 +2,11 @@
 transition matrices, and for the closed-form bounded-solution evaluator,
 batched and single-point evaluation agree, the value matches forward
 integration from deep in the past, the periodic component is
-stride-periodic, and the two components sum to the full solution."""
+stride-periodic, and the two components sum to the full solution.  The
+blocked RK4 scan agrees with a plain per-step RK4 loop, stable or not."""
 
 import numpy as np
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from tsdyn import (
@@ -23,6 +24,7 @@ from tsdyn import (
     integrate,
     matriciant,
 )
+from tsdyn.impulsive import _rk4_segment
 
 # Deterministic example generation keeps the suite reproducible.
 PROPERTY_SETTINGS = settings(
@@ -38,8 +40,8 @@ coefficient = st.floats(-1.0, 1.0, allow_nan=False)
 
 
 @st.composite
-def stable_models(draw, max_dimension=4):
-    m = draw(st.integers(1, max_dimension))
+def stable_models(draw):
+    m = draw(st.integers(1, 8))
     period = draw(st.sampled_from([6.0, 7.0, 8.0]))
     gap = draw(st.floats(0.2, 0.5)) * period
     anchor = draw(st.floats(0.0, 0.9)) * (period - gap)
@@ -53,7 +55,7 @@ def stable_models(draw, max_dimension=4):
 
     components = []
     for _ in range(m):
-        orders = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True))
+        orders = draw(st.lists(st.integers(1, 6), min_size=1, max_size=6, unique=True))
         harmonics = tuple(Harmonic(n, draw(coefficient), draw(coefficient)) for n in orders)
         components.append(ForcingComponent(draw(coefficient), harmonics))
     forcing = TrigForcing(period, tuple(components))
@@ -113,7 +115,7 @@ def test_agrees_with_deep_past_integration(model, s):
 
 @settings(PROPERTY_SETTINGS, max_examples=50)
 @given(
-    model=stable_models(max_dimension=8),
+    model=stable_models(),
     r=st.lists(st.floats(-20.0, 20.0), min_size=4, max_size=4),
     fraction=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
 )
@@ -124,3 +126,47 @@ def test_certificate_bounds_transition_matrices(model, r, fraction):
         q = 6.0 * model.ts.period * share
         norm = np.linalg.norm(matriciant(model, start + q, start), 2)
         assert norm <= cert.prefactor * np.exp(-cert.decay_rate * q) * (1.0 + 1e-12)
+
+
+def rk4_loop(A, u, h, y):
+    """Per-step classical RK4 with the forcing at the half-step mesh."""
+    out = []
+    for i in range((len(u) - 1) // 2):
+        k1 = A @ y + u[2 * i]
+        k2 = A @ (y + 0.5 * h * k1) + u[2 * i + 1]
+        k3 = A @ (y + 0.5 * h * k2) + u[2 * i + 1]
+        k4 = A @ (y + h * k3) + u[2 * i + 2]
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(y)
+    return np.array(out)
+
+
+@st.composite
+def step_counts(draw):
+    # step counts around a whole number of blocks, and long segments
+    b = draw(st.integers(2, 40))
+    return draw(st.sampled_from([1, 2, b * b - 1, b * b, b * b + 1, 5000 + b]))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=30)
+@given(
+    m=st.integers(1, 8),
+    n=step_counts(),
+    h=st.sampled_from([1e-3, 1e-2, 5e-2]),
+    abscissa=st.floats(-2.0, 1.0),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+@example(m=8, n=5041, h=5e-2, abscissa=1.0, seed=0)
+@example(m=8, n=1, h=1e-3, abscissa=-2.0, seed=1)
+@example(m=3, n=1599, h=1e-2, abscissa=1.0, seed=2)
+def test_rk4_scan_matches_step_loop(m, n, h, abscissa, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.uniform(-1.0, 1.0, (m, m))
+    # shift the spectrum so its rightmost eigenvalue sits at the drawn abscissa
+    A += (abscissa - np.max(np.linalg.eigvals(A).real)) * np.eye(m)
+    u = rng.uniform(-1.0, 1.0, (2 * n + 1, m))
+    y0 = rng.uniform(-1.0, 1.0, m)
+    expected = rk4_loop(A, u, h, y0)
+    got = _rk4_segment(A, u, h, y0)
+    assert got.shape == (n, m)
+    assert np.max(np.abs(got - expected)) <= 1e-11 * _scale(expected)
