@@ -5,9 +5,10 @@ chaotic logistic sequence forcing), checks the spectral assumptions, builds
 the exponential-decay certificate, and evaluates the bounded solution two
 independent ways: by truncated convolution against the transition matrices,
 and by forward integration from deep in the past.  Finishes with the
-periodic/Poisson split.
+periodic/Poisson split, read from the same evaluator.
 
-If matplotlib is installed, saves bounded_solution.png next to this script.
+If matplotlib is installed, saves bounded_solution.png in the current
+directory.
 """
 
 from pathlib import Path
@@ -64,7 +65,7 @@ for s in (2.0, 6.5, 11.0):
 
 grid = compact_grid(ts, -4.0, 20.0, 0.05)
 theta = lift(model, evaluator, grid)
-theta1, theta2 = decompose(model, cert, grid, tol=1e-8)
+theta1, theta2 = decompose(model, evaluator, grid)
 print(f"\non the scale: {theta.t.size} samples, "
       f"{len(theta.endpoint_values)} endpoint values")
 print(f"periodic part sup   : {theta1.max_norm():.3f}")
@@ -92,7 +93,7 @@ try:
             ax.plot(sol.t[seg], sol.y[seg, 1], "C1-", lw=1)
         ax.set_ylabel(label)
     axes[-1].set_xlabel("t")
-    out = Path(__file__).with_name("bounded_solution.png")
+    out = Path("bounded_solution.png").resolve()
     fig.savefig(out, dpi=120, bbox_inches="tight")
     print(f"\nwrote {out}")
 except ImportError:

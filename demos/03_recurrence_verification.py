@@ -20,6 +20,7 @@ from tsdyn import (
     as_timescale_function,
     certify,
     compact_grid,
+    decompose,
     find_return_times,
     lift,
     mpps_report,
@@ -47,29 +48,26 @@ for entry in returns.entries:
     print(f"  shift {entry.zeta:6d}: recurrence defect {entry.defect:.4f}")
 
 tol = 1e-8
-full = BoundedSolutionEvaluator(model, cert, tol)
-periodic_part = BoundedSolutionEvaluator(model, cert, tol, include_sequence=False)
-poisson_part = BoundedSolutionEvaluator(model, cert, tol, include_periodic=False)
+evaluator = BoundedSolutionEvaluator(model, cert, tol)
+parts = as_timescale_function(model, evaluator)  # rows [periodic, sequence]
 
 lo, hi, step = 1.0, 17.0, 0.05
 grid = compact_grid(ts, lo, hi, step)
 shifted = compact_grid(ts, lo + ts.period, hi + ts.period, step)
 
-theta1 = lift(model, periodic_part, sorted(set(grid) | set(shifted)))
+theta1, _ = decompose(model, evaluator, grid + shifted)
 rep_periodic = verify_periodic(theta1, ts, tol=1e-6)
 print(f"\nperiodicity of the periodic part: deviation "
       f"{rep_periodic.metrics['max_shift_deviation']:.2e} -> {rep_periodic.passed}")
 
-rep_poisson = verify_poisson(
-    as_timescale_function(model, poisson_part), ts, returns, lo, hi, step
-)
+rep_poisson = verify_poisson(lambda t: parts(t)[:, 1], ts, returns, lo, hi, step)
 sups = [rep_poisson.metrics[f"D_{i}"] for i in range(len(returns.entries))]
 print("recurrence of the sequence-driven part:")
 for entry, sup in zip(returns.entries, sups):
     print(f"  shift {entry.zeta:6d}: sup difference {sup:.4f}")
 print(f"  threshold {rep_poisson.parameters['eps']:.4f} -> {rep_poisson.passed}")
 
-theta = lift(model, full, grid)
+theta = lift(model, evaluator, grid)
 rep_bound = verify_bound(
     theta, cert, model.forcing.sup_norm(ts), model.sequence.sup_norm(0, 0).ceiling
 )
@@ -85,7 +83,7 @@ print(f"contraction slope {rep_stability.metrics['fitted_slope']:.4f} "
       f"(certified rate -{cert.decay_rate:.4f}) -> {rep_stability.passed}")
 
 rep_poisson_full = verify_poisson(
-    as_timescale_function(model, full), ts, returns, lo, hi, step,
+    lambda t: parts(t).sum(axis=1), ts, returns, lo, hi, step,
     eps=rep_poisson.parameters["eps"] + 2 * tol,
 )
 verdict = mpps_report(

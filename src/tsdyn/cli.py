@@ -57,7 +57,7 @@ import json
 import math
 import sys
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -340,23 +340,19 @@ def _write_json(path: Path, payload) -> None:
 # subcommands
 
 
-def _cmd_check(cfg: ScenarioConfig, out: Path) -> int:
-    a1 = impulsive.check_invertible_jump(cfg.model)
-    a2 = impulsive.check_contractive_period(cfg.model)
-    payload = {
+def _assumptions(model: ImpulsiveModel) -> tuple[bool, dict]:
+    """Both spectral assumption checks: joint verdict and the JSON record."""
+    a1 = impulsive.check_invertible_jump(model)
+    a2 = impulsive.check_contractive_period(model)
+    return a1.passed and a2.passed, {
         "A1": {"passed": a1.passed, "det": a1.value},
         "A2": {"passed": a2.passed, "spectral_radius": a2.value},
-        "certificate": None,
     }
-    ok = a1.passed and a2.passed
-    if ok:
-        cert = impulsive.certify(cfg.model)
-        payload["certificate"] = {
-            "floquet_radius": cert.floquet_radius,
-            "decay_rate": cert.decay_rate,
-            "prefactor": cert.prefactor,
-            "grid_resolution": cert.grid_resolution,
-        }
+
+
+def _cmd_check(cfg: ScenarioConfig, out: Path) -> int:
+    ok, payload = _assumptions(cfg.model)
+    payload["certificate"] = asdict(impulsive.certify(cfg.model)) if ok else None
     _write_json(out / "check.json", payload)
     return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
 
@@ -402,9 +398,8 @@ def _cmd_bounded(cfg: ScenarioConfig, out: Path) -> int:
 
 def _cmd_decompose(cfg: ScenarioConfig, out: Path) -> int:
     cert = impulsive.certify(cfg.model)
-    theta1, theta2 = dynamic.decompose(
-        cfg.model, cert, _scenario_grid(cfg), cfg.tolerances["eval_tol"]
-    )
+    evaluator = BoundedSolutionEvaluator(cfg.model, cert, cfg.tolerances["eval_tol"])
+    theta1, theta2 = dynamic.decompose(cfg.model, evaluator, _scenario_grid(cfg))
     write_solution_csv(out / "theta1.csv", theta1)
     write_solution_csv(out / "theta2.csv", theta2)
     return EXIT_OK
@@ -444,18 +439,9 @@ def _cmd_returns(cfg: ScenarioConfig, out: Path) -> int:
 def _cmd_verify(cfg: ScenarioConfig, out: Path) -> int:
     model, ts = cfg.model, cfg.ts
     tol = cfg.tolerances["eval_tol"]
-    a1 = impulsive.check_invertible_jump(model)
-    a2 = impulsive.check_contractive_period(model)
-    if not (a1.passed and a2.passed):
-        _write_json(
-            out / "verify.json",
-            {
-                "assumptions": {
-                    "A1": {"passed": a1.passed, "det": a1.value},
-                    "A2": {"passed": a2.passed, "spectral_radius": a2.value},
-                }
-            },
-        )
+    ok, assumptions = _assumptions(model)
+    if not ok:
+        _write_json(out / "verify.json", {"assumptions": assumptions})
         return EXIT_VERIFICATION_FAILED
     cert = impulsive.certify(model)
 
@@ -468,23 +454,19 @@ def _cmd_verify(cfg: ScenarioConfig, out: Path) -> int:
     grid = analysis.compact_grid(ts, lo, hi, grid_step)
     shifted = analysis.compact_grid(ts, lo + ts.period, hi + ts.period, grid_step)
 
-    full = BoundedSolutionEvaluator(model, cert, tol)
-    periodic_part = BoundedSolutionEvaluator(model, cert, tol, include_sequence=False)
-    poisson_part = BoundedSolutionEvaluator(model, cert, tol, include_periodic=False)
-
-    theta = dynamic.lift(model, full, grid)
-    theta1 = dynamic.lift(model, periodic_part, sorted(set(grid) | set(shifted)))
+    evaluator = BoundedSolutionEvaluator(model, cert, tol)
+    theta = dynamic.lift(model, evaluator, grid)
+    theta1, _ = dynamic.decompose(model, evaluator, grid + shifted)
 
     report_periodic = analysis.verify_periodic(theta1, ts, cfg.tolerances["period_tol"])
     returns = _mine_returns(cfg, cert)
     eps = cfg.tolerances["poisson_eps"]
+    parts = dynamic.as_timescale_function(model, evaluator)
     report_poisson = analysis.verify_poisson(
-        dynamic.as_timescale_function(model, poisson_part),
-        ts, returns, lo, hi, grid_step, eps=eps,
+        lambda t: parts(t)[:, 1], ts, returns, lo, hi, grid_step, eps=eps,
     )
     report_poisson_full = analysis.verify_poisson(
-        dynamic.as_timescale_function(model, full),
-        ts, returns, lo, hi, grid_step,
+        lambda t: parts(t).sum(axis=1), ts, returns, lo, hi, grid_step,
         eps=report_poisson.parameters["eps"] + 2.0 * tol,
     )
     sup_f = model.forcing.sup_norm(ts)

@@ -1,7 +1,11 @@
 """Solutions living on the time scale itself: simulation of the dynamic
-equation as the impulsive march read back on the scale, lifting of
-impulsive-side evaluations through the psi substitution, delta-derivative
-residuals, and the periodic/Poisson split.
+equation as the impulsive march read back on the scale, the bounded
+solution and its periodic/Poisson split pulled back through the psi
+substitution, and delta-derivative residuals.
+
+``lift``, ``decompose`` and ``as_timescale_function`` share one path onto
+the scale: each point is located once, regular points are evaluated in one
+batch at ``psi(t)``, and left endpoints take the right limit of their jump.
 
 A solution on the scale stores regular samples for points where psi is
 defined and keeps the values at left endpoints (where psi is undefined and
@@ -17,7 +21,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import MissingSampleError, TimeScaleDomainError
-from .impulsive import BoundedSolutionEvaluator, ImpulsiveModel, StabilityCert, _march
+from .impulsive import BoundedSolutionEvaluator, ImpulsiveModel, _march
 from .timescale import (
     GAP,
     LEFT_ENDPOINT,
@@ -138,89 +142,90 @@ def simulate_dynamic(
     )
 
 
-def lift(
-    model: ImpulsiveModel,
-    phi,
-    t_grid: Sequence[float],
-) -> TimeScaleSolution:
-    """Pull an impulsive-side evaluation back onto the time scale.
-
-    ``phi`` is either a :class:`BoundedSolutionEvaluator` or a plain callable
-    ``s -> vector``.  Regular grid points map through psi and, for an
-    evaluator, are evaluated in one batch; at a left endpoint the value is
-    the right limit after the jump (taken from the evaluator's part-aware
-    jump when available, else the full jump).
-    """
+def _on_scale(model: ImpulsiveModel, points, evaluate):
+    """Locate each point once; evaluate the regular points in one batch at
+    ``psi(t) = t - k*gap``.  Returns their positions, their values, and the
+    index of the jump before each left endpoint, keyed by its position."""
     ts = model.ts
-    if isinstance(phi, BoundedSolutionEvaluator):
-        values = phi.values
-        right_limit = phi.right_limit
-    else:
-
-        def values(ss) -> np.ndarray:
-            return np.array([np.asarray(phi(s), dtype=float) for s in ss]).reshape(
-                len(ss), model.dimension
-            )
-
-        def right_limit(k: int) -> np.ndarray:
-            x = phi(ts.impulse_point(k))
-            pulse = model.matrix @ x + model.forcing.value(ts.anchor)
-            pulse = pulse + model.sequence.term(k)
-            return x + ts.gap * pulse
-
-    samples_t: list[float] = []
-    samples_s: list[float] = []  # psi(t) = t - k*gap, from the same locate
-    jumps: list[int] = []
-    for t in sorted(float(t) for t in t_grid):
+    regular: list[int] = []
+    collapsed: list[float] = []
+    jumps: dict[int, int] = {}
+    for i, t in enumerate(points):
         k, code = ts.locate(t)
         if code == GAP:
-            raise TimeScaleDomainError(f"grid point t={t!r} is not in the time scale")
+            raise TimeScaleDomainError(f"t={t!r} is not in the time scale")
         if code == LEFT_ENDPOINT:
-            jumps.append(k - 1)
-        elif not samples_t or t > samples_t[-1]:  # skip duplicate grid points
-            samples_t.append(t)
-            samples_s.append(t - k * ts.gap)
+            jumps[i] = k - 1
+        else:
+            regular.append(i)
+            collapsed.append(t - k * ts.gap)
+    return regular, evaluate(collapsed), jumps
+
+
+def lift(
+    model: ImpulsiveModel,
+    evaluator: BoundedSolutionEvaluator,
+    t_grid: Sequence[float],
+) -> TimeScaleSolution:
+    """The bounded solution on a grid of the time scale.
+
+    Regular grid points map through psi and are evaluated in one batch; at
+    a left endpoint the value is the right limit after the jump.
+    """
+    points = sorted(set(float(t) for t in t_grid))
+    regular, y, jumps = _on_scale(model, points, evaluator.values)
     return TimeScaleSolution(
-        ts=ts,
-        t=np.asarray(samples_t),
-        y=values(samples_s),
-        endpoint_values={k: np.asarray(right_limit(k), dtype=float) for k in jumps},
+        ts=model.ts,
+        t=np.asarray(points)[regular],
+        y=y,
+        endpoint_values={k: evaluator.right_limit(k) for k in jumps.values()},
         provenance="lifted",
+    )
+
+
+def decompose(
+    model: ImpulsiveModel,
+    evaluator: BoundedSolutionEvaluator,
+    t_grid: Sequence[float],
+) -> tuple[TimeScaleSolution, TimeScaleSolution]:
+    """Split the bounded solution into periodic and Poisson parts on a grid.
+
+    One batched evaluation of :meth:`BoundedSolutionEvaluator.parts`; at a
+    left endpoint each part takes its own share of the jump.  The two parts
+    sum to the lift of the full bounded solution up to round-off.
+    """
+    points = sorted(set(float(t) for t in t_grid))
+    regular, y, jumps = _on_scale(model, points, evaluator.parts)
+    t = np.asarray(points)[regular]
+    ends = {k: evaluator.right_limit_parts(k) for k in jumps.values()}
+    return tuple(
+        TimeScaleSolution(model.ts, t, y[:, i], {k: v[i] for k, v in ends.items()}, "lifted")
+        for i in (0, 1)
     )
 
 
 def as_timescale_function(
     model: ImpulsiveModel, evaluator: BoundedSolutionEvaluator
 ) -> Callable:
-    """Wrap an evaluator as a function on the whole time scale.
+    """Wrap an evaluator's parts as a function on the whole time scale.
 
-    The function takes one point or a 1-d array of points and returns a
-    vector or an ``(n, m)`` array.  Regular points go through psi in one
-    batched evaluation; left endpoints return the jump right limit
-    restricted to the evaluator's included forcing parts.
+    The function takes one point or an array of points and returns the
+    parts ``[periodic, sequence]`` with shape ``points.shape + (2, m)``;
+    summing over the parts axis gives the full bounded solution.  Regular
+    points go through psi in one batched evaluation; left endpoints return
+    the parts of the jump right limit.
     """
-    ts = model.ts
+    m = model.dimension
 
     def theta(t):
         points = np.asarray(t, dtype=float)
         flat = points.reshape(-1).tolist()
-        out = np.empty((len(flat), model.dimension))
-        regular: list[int] = []
-        collapsed: list[float] = []  # psi(t) = t - k*gap, from the same locate
-        jumps: dict[int, int] = {}
-        for i, x in enumerate(flat):
-            k, code = ts.locate(x)
-            if code == GAP:
-                raise TimeScaleDomainError(f"t={x!r} is not in the time scale")
-            if code == LEFT_ENDPOINT:
-                jumps[i] = k - 1
-            else:
-                regular.append(i)
-                collapsed.append(x - k * ts.gap)
-        out[regular] = evaluator.values(collapsed)
+        regular, parts, jumps = _on_scale(model, flat, evaluator.parts)
+        out = np.empty((len(flat), 2, m))
+        out[regular] = parts
         for i, k in jumps.items():
-            out[i] = evaluator.right_limit(k)
-        return out.reshape(points.shape + (model.dimension,))
+            out[i] = evaluator.right_limit_parts(k)
+        return out.reshape(points.shape + (2, m))
 
     return theta
 
@@ -256,20 +261,3 @@ def delta_residual(model: ImpulsiveModel, sol: TimeScaleSolution, t: float) -> f
         )
     quotient = (sol.y[idx] - y_t) / (t_next - t)
     return float(np.linalg.norm(quotient - rhs))
-
-
-def decompose(
-    model: ImpulsiveModel,
-    cert: StabilityCert,
-    t_grid: Sequence[float],
-    tol: float = 1e-8,
-) -> tuple[TimeScaleSolution, TimeScaleSolution]:
-    """Split the bounded solution into periodic and Poisson parts on a grid.
-
-    Lifts the periodic-forcing component and the sequence-forcing component
-    separately; their sum matches the lift of the full bounded solution to
-    within twice the evaluation tolerance pointwise.
-    """
-    periodic = BoundedSolutionEvaluator(model, cert, tol, include_sequence=False)
-    poisson = BoundedSolutionEvaluator(model, cert, tol, include_periodic=False)
-    return lift(model, periodic, t_grid), lift(model, poisson, t_grid)

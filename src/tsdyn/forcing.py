@@ -421,11 +421,10 @@ def find_return_times(
         col = terms[offset + 1: offset + 1 + zeta_max] - terms[offset]
         np.maximum(best_by_shift, np.linalg.norm(col, axis=1), out=best_by_shift)
 
-    records: list[ReturnEntry] = []
-    best = math.inf
-    for i in range(zeta_max):
-        d = float(best_by_shift[i])
-        if d < best:
-            best = d
-            records.append(ReturnEntry(zeta=i + 1, defect=d))
-    return ReturnTimeSet(window=(lo, hi), entries=tuple(records[-max_count:]))
+    # a record strictly improves on every shorter shift: exactly where the
+    # running minimum steps down (taken in place, so no second array)
+    running = np.minimum.accumulate(best_by_shift, out=best_by_shift)
+    steps = np.flatnonzero(running[1:] < running[:-1]) + 1
+    records = np.concatenate(([0], steps))[-max_count:]
+    entries = (ReturnEntry(zeta=int(i) + 1, defect=float(running[i])) for i in records)
+    return ReturnTimeSet(window=(lo, hi), entries=tuple(entries))

@@ -6,7 +6,7 @@ with its periodic/sequence split.
 Between impulse moments the state obeys ``x' = A x + u(s)`` where ``u``
 collects the collapsed periodic forcing and the piecewise-constant sequence
 forcing; at each impulse moment the state jumps by
-``gap * (A x + f(psi_inv(s_k)) + term_k)``.
+``gap * (A x + f(psi_inv(s_k)) + term_k)`` (:meth:`ImpulsiveModel.jump`).
 
 Forward integration is one RK4-plus-jump march.  ``integrate`` runs it on
 the line; ``dynamic.simulate_dynamic`` runs the same march and reads it back
@@ -23,13 +23,15 @@ bounded-solution evaluator uses this to write the convolution over the
 infinite past in closed form: one augmented matrix exponential per partial
 segment (Van Loan, "Computing integrals involving the matrix exponential",
 IEEE TAC 23(3), 1978), an exact geometric sum for the periodic forcing, and a
-truncated sum over whole gaps for the sequence forcing.
+truncated sum over whole gaps for the sequence forcing.  The two sums give
+the periodic and the sequence-driven parts of the solution side by side.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -81,6 +83,28 @@ class ImpulsiveModel:
     def jump_factor(self) -> np.ndarray:
         """Matrix ``I + gap * A`` applied by each impulse."""
         return np.eye(self.dimension) + self.ts.gap * self.matrix
+
+    @cached_property
+    def forcing_at_impulse(self) -> np.ndarray:
+        """``f(psi_inv(s_k))``, the same for every ``k``: each ``psi_inv(s_k)``
+        is a right endpoint, a whole number of periods from the anchor."""
+        f = self.forcing.value(self.ts.anchor)
+        f.setflags(write=False)
+        return f
+
+    def jump(self, k: int, x) -> np.ndarray:
+        """State right after impulse ``k`` from the state ``x`` at
+        ``impulse_point(k)``: ``x + gap * (A x + f(psi_inv(s_k)) + term_k)``.
+
+        ``x`` may also hold the parts ``[periodic, sequence]`` of a state as
+        rows of a ``(2, m)`` array; the pulse then splits by row, ``f``
+        driving the periodic part and ``term_k`` the sequence part.
+        """
+        f = self.forcing_at_impulse
+        term = self.sequence.term(k)
+        if np.ndim(x) == 2:
+            f, term = np.stack([f, 0.0 * f]), np.stack([0.0 * term, term])
+        return x + self.ts.gap * (x @ self.matrix.T + f + term)
 
 
 class AssumptionCheck(NamedTuple):
@@ -162,7 +186,7 @@ def certify(model: ImpulsiveModel, grid_resolution: int = 201) -> StabilityCert:
         ratio = q / stride
         counts = {int(math.floor(ratio)), int(math.ceil(ratio))}
         for i in counts:
-            norm = matrixkit.spectral_norm(E @ matrixkit.int_power(Q, i))
+            norm = matrixkit.spectral_norm(E @ np.linalg.matrix_power(Q, i))
             grid_max = max(grid_max, norm * math.exp(rate * q))
     h = 2.0 * stride / (grid_resolution - 1)
     a_norm = matrixkit.spectral_norm(A)
@@ -204,7 +228,7 @@ def matriciant(model: ImpulsiveModel, s: float, r: float) -> np.ndarray:
         raise ValueError(f"matriciant requires s >= r, got s={s!r} < r={r!r}")
     count = model.ts.count_impulses(r, s)
     E = matrixkit.expm((s - r) * model.matrix)
-    return E @ matrixkit.int_power(model.jump_factor, count)
+    return E @ np.linalg.matrix_power(model.jump_factor, count)
 
 
 # ----------------------------------------------------------------------
@@ -314,7 +338,6 @@ def _march(model: ImpulsiveModel, x, s0: float, s1: float, k0: int, k1: int, ste
     ss = [np.array([s0])]
     xs = [x[np.newaxis]]
     jumps: list[JumpRecord] = []
-    f_at_right = model.forcing.value(ts.anchor)  # f(psi_inv(s_k)) for every k
     cursor = s0
     for k in range(k0, k1 + 1):
         seg_end = ts.impulse_point(k) if k < k1 else s1
@@ -330,7 +353,7 @@ def _march(model: ImpulsiveModel, x, s0: float, s1: float, k0: int, k1: int, ste
             x = xs[-1][-1].copy()  # the jump record must not pin the block
         if k < k1:
             before = x
-            x = x + ts.gap * (A @ x + f_at_right + model.sequence.term(k))
+            x = model.jump(k, x)
             jumps.append(JumpRecord(index=k, s=seg_end, before=before, after=x))
         cursor = seg_end
     return np.concatenate(ss), np.concatenate(xs), tuple(jumps)
@@ -346,8 +369,8 @@ def integrate(
     """Integrate the impulsive system from ``s0`` to ``s1``.
 
     Classical fixed-step fourth-order integration on each impulse-free
-    segment, with the mesh split exactly at every impulse moment where the
-    state jump ``gap * (A x + f(psi_inv(s_k)) + term_k)`` is applied.
+    segment, with the mesh split exactly at every impulse moment where
+    :meth:`ImpulsiveModel.jump` is applied.
     """
     if step <= 0.0:
         raise ValueError(f"step must be positive, got {step!r}")
@@ -399,31 +422,21 @@ class BoundedSolutionEvaluator:
       other half is margin.  Their sum is one contraction of the stack
       ``B^j G`` against the sequence terms.
 
-    ``include_periodic`` / ``include_sequence`` select which forcing parts
-    enter, yielding the periodic component, the sequence-driven component,
-    or (both) the full bounded solution.  Instances are immutable after
-    construction and safe for concurrent evaluation.
+    :meth:`parts` returns the periodic component and the sequence-driven
+    component side by side, both from the same segment exponential;
+    :meth:`values` is their sum, the full bounded solution.  Instances are
+    immutable after construction and safe for concurrent evaluation.
     """
 
-    def __init__(
-        self,
-        model: ImpulsiveModel,
-        cert: StabilityCert,
-        tol: float = 1e-8,
-        include_periodic: bool = True,
-        include_sequence: bool = True,
-    ) -> None:
+    def __init__(self, model: ImpulsiveModel, cert: StabilityCert, tol: float = 1e-8) -> None:
         if tol <= 0.0:
             raise ValueError(f"tol must be positive, got {tol!r}")
         self.model = model
         self.cert = cert
         self.tol = float(tol)
-        self.include_periodic = bool(include_periodic)
-        self.include_sequence = bool(include_sequence)
 
         ts = model.ts
         m = model.dimension
-        self._f_at_right = model.forcing.value(ts.anchor)
         self.sup_bound = solution_bound(
             cert, ts, model.forcing.sup_norm(ts), _sequence_ceiling(model.sequence)
         )
@@ -449,7 +462,7 @@ class BoundedSolutionEvaluator:
         B = E @ Q
         # periodic head: sum over j >= 0 of B^j (gap f(s_k) + Q F z0)
         self._periodic_head = np.linalg.solve(
-            np.eye(m) - B, ts.gap * self._f_at_right + Q @ (F @ self._z0)
+            np.eye(m) - B, ts.gap * model.forcing_at_impulse + Q @ (F @ self._z0)
         )
         # a point walks at most horizon/stride + 2 whole gaps (index snapping adds one)
         stack = np.empty((int(self.horizon // ts.stride) + 3, m, m))
@@ -465,10 +478,16 @@ class BoundedSolutionEvaluator:
         return self.values([s])[0]
 
     def values(self, s) -> np.ndarray:
-        """Bounded-solution values at a 1-d array of points, shape ``(n, m)``.
+        """Bounded-solution values at a 1-d array of points, shape ``(n, m)``."""
+        return self.parts(s).sum(axis=1)
 
-        Each point costs one matrix-vector product; points with equal
-        partial length share one segment exponential, and points below the
+    def parts(self, s) -> np.ndarray:
+        """Periodic and sequence-driven parts at a 1-d array of points, shape
+        ``(n, 2, m)`` with rows ``[periodic, sequence]``.
+
+        Both rows come from one segment exponential, weighted by
+        ``[head, z0, 0]`` and by ``[walk over the gaps, 0, term]``.  Points
+        with equal partial length share the exponential, and points below the
         same impulse with the same depth share one walk over the gaps.
         """
         ts = self.model.ts
@@ -478,40 +497,30 @@ class BoundedSolutionEvaluator:
         lengths, which = np.unique(
             [x - ts.impulse_point(k) for x, k in zip(s, k_hi)], return_inverse=True
         )
-        # value = segment(L) @ [head, z0, term of the partial segment]
-        weights = np.zeros((s.size, self._generator.shape[0]))
-        if self.include_periodic:
-            weights[:, :m] = self._periodic_head
-            weights[:, m:-m] = self._z0
-        if self.include_sequence:
-            # the deepest gap covered starts at impulse_index_below(x - horizon),
-            # so the dropped tail lies at distance >= horizon from x
-            depths = [k - ts.impulse_index_below(x - self.horizon) for x, k in zip(s, k_hi)]
-            walks: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-            for i, key in enumerate(zip(k_hi, depths)):
-                if key not in walks:
-                    walks[key] = self._gap_walk(*key)
-                head, term = walks[key]
-                weights[i, :m] += head
-                weights[i, -m:] = term
+        # the deepest gap covered starts at impulse_index_below(x - horizon),
+        # so the dropped tail lies at distance >= horizon from x
+        depths = [k - ts.impulse_index_below(x - self.horizon) for x, k in zip(s, k_hi)]
+        weights = np.zeros((s.size, 2, self._generator.shape[0]))
+        weights[:, 0, :m] = self._periodic_head
+        weights[:, 0, m:-m] = self._z0
+        walks: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        for i, key in enumerate(zip(k_hi, depths)):
+            if key not in walks:
+                walks[key] = self._gap_walk(*key)
+            weights[i, 1, :m], weights[i, 1, -m:] = walks[key]
         segments = [self._segment(L) for L in lengths]
-        out = np.empty((s.size, m))
+        out = np.empty((s.size, 2, m))
         for i, j in enumerate(which):
-            out[i] = segments[j] @ weights[i]
+            out[i] = weights[i] @ segments[j].T
         return out
 
     def right_limit(self, k: int) -> np.ndarray:
         """Right-limit value just after the impulse at ``impulse_point(k)``."""
-        return self.jump_image(k, self.value(self.model.ts.impulse_point(k)))
+        return self.model.jump(k, self.value(self.model.ts.impulse_point(k)))
 
-    def jump_image(self, k: int, x: np.ndarray) -> np.ndarray:
-        """Apply the impulse-k jump to ``x``, restricted to the included parts."""
-        pulse = self.model.matrix @ x
-        if self.include_periodic:
-            pulse = pulse + self._f_at_right
-        if self.include_sequence:
-            pulse = pulse + self.model.sequence.term(k)
-        return x + self.model.ts.gap * pulse
+    def right_limit_parts(self, k: int) -> np.ndarray:
+        """Right limits of the two parts after impulse ``k``, shape ``(2, m)``."""
+        return self.model.jump(k, self.parts([self.model.ts.impulse_point(k)])[0])
 
     # -- internals -----------------------------------------------------
 
@@ -539,6 +548,5 @@ class BoundedSolutionEvaluator:
 
 
 def _sequence_ceiling(seq: PoissonSequence) -> float:
-    if hasattr(seq, "max_index"):
-        return seq.sup_norm(seq.min_index(), seq.max_index()).ceiling
+    """Ceiling on every term of the sequence, whatever index range is scanned."""
     return seq.sup_norm(seq.min_index(), seq.min_index()).ceiling

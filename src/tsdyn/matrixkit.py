@@ -1,8 +1,9 @@
 """Dense real-matrix utilities for small systems (targeting m <= 16).
 
-The matrix exponential by Pade scaling and squaring and integer matrix
-powers, which numpy does not provide, plus the spectral radius and spectral
-norm read off numpy's eigenvalue and singular value routines.
+The matrix exponential by Pade scaling and squaring, which numpy does not
+provide, plus the spectral radius and spectral norm read off numpy's
+eigenvalue and singular value routines.  Integer matrix powers are
+``numpy.linalg.matrix_power``.
 """
 
 from __future__ import annotations
@@ -57,23 +58,6 @@ def expm(M) -> np.ndarray:
     for _ in range(squarings):
         R = R @ R
     return R
-
-
-def int_power(M, n: int) -> np.ndarray:
-    """Non-negative integer matrix power by repeated squaring."""
-    A = _as_square(M)
-    n = int(n)
-    if n < 0:
-        raise ValueError(f"int_power requires n >= 0, got {n}")
-    result = np.eye(A.shape[0])
-    base = A.copy()
-    while n:
-        if n & 1:
-            result = result @ base
-        n >>= 1
-        if n:
-            base = base @ base
-    return result
 
 
 def spectral_norm(M) -> float:

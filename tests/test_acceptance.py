@@ -62,11 +62,10 @@ def test_criterion_1_assumption_checks(model5):
 def test_criterion_2_periodic_component(model5, cert5, ts5):
     start = time.time()
     tol = 1e-8
-    phi1 = BoundedSolutionEvaluator(model5, cert5, tol, include_sequence=False)
+    phi = BoundedSolutionEvaluator(model5, cert5, tol)
     s_grid = np.linspace(1.02, 10.98, 100)
-    worst_s = max(
-        float(np.linalg.norm(phi1.value(s + 5.0) - phi1.value(s))) for s in s_grid
-    )
+    drift = phi.parts(s_grid + 5.0)[:, 0] - phi.parts(s_grid)[:, 0]
+    worst_s = float(np.max(np.linalg.norm(drift, axis=1)))
     _gate("criterion 2: stride-periodicity of the periodic component < 1e-6",
           worst_s < 1e-6, f"max deviation {worst_s:.2e}")
 
@@ -74,7 +73,7 @@ def test_criterion_2_periodic_component(model5, cert5, ts5):
         set(np.linspace(-3.95, 0.95, 50)) | set(np.linspace(4.05, 8.95, 50))
     )
     both = sorted(set(t_grid) | {t + 8.0 for t in t_grid})
-    theta1 = lift(model5, phi1, both)
+    theta1, _ = decompose(model5, phi, both)
     report = verify_periodic(theta1, ts5, tol=1e-6)
     _gate("criterion 2: period-periodicity on the scale < 1e-6", report.passed,
           f"max deviation {report.metrics['max_shift_deviation']:.2e}")
@@ -89,9 +88,9 @@ def test_criterion_3_poisson_component(model5, cert5, ts5):
           and all(b < a for a, b in zip(returns.defects, returns.defects[1:])),
           "defects " + ", ".join(f"{d:.4f}" for d in returns.defects))
 
-    poisson_part = BoundedSolutionEvaluator(model5, cert5, 1e-8, include_periodic=False)
+    parts = as_timescale_function(model5, BoundedSolutionEvaluator(model5, cert5, 1e-8))
     report = verify_poisson(
-        as_timescale_function(model5, poisson_part), ts5, returns,
+        lambda t: parts(t)[:, 1], ts5, returns,
         compact_lo=1.0, compact_hi=17.0, grid_step=0.05,
     )
     sups = [report.metrics[f"D_{i}"] for i in range(len(returns.entries))]
@@ -215,25 +214,19 @@ def test_criterion_6_property_suites(model5, cert5, ts5):
 def test_criterion_7_degenerate_scenarios(model5_no_sequence, model5_no_forcing, ts5, tmp_path):
     # switched-off sequence: no recurrence component, pure periodic verdict
     cert = certify(model5_no_sequence)
+    ev = BoundedSolutionEvaluator(model5_no_sequence, cert, 1e-8)
     grid = compact_grid(ts5, 1.0, 17.0, 0.25)
     shifted = compact_grid(ts5, 9.0, 25.0, 0.25)
-    theta1, theta2 = decompose(
-        model5_no_sequence, cert, sorted(set(grid) | set(shifted)), 1e-8
-    )
+    theta1, theta2 = decompose(model5_no_sequence, ev, grid + shifted)
     _gate("criterion 7: zero sequence forcing gives zero recurrence component",
           theta2.max_norm() < 1e-12, f"max {theta2.max_norm():.2e}")
     rep_periodic = verify_periodic(theta1, ts5, tol=1e-6)
     returns = find_return_times(model5_no_sequence.sequence, (0, 20), 1000, max_count=3)
-    poisson_part = BoundedSolutionEvaluator(
-        model5_no_sequence, cert, 1e-8, include_periodic=False
-    )
-    rep_poisson = verify_poisson(
-        as_timescale_function(model5_no_sequence, poisson_part),
-        ts5, returns, 1.0, 17.0, 0.25,
-    )
+    parts = as_timescale_function(model5_no_sequence, ev)
+    rep_poisson = verify_poisson(lambda t: parts(t)[:, 1], ts5, returns, 1.0, 17.0, 0.25)
     _gate("criterion 7: degenerate recurrence suprema are identically zero",
           rep_poisson.metrics["final_sup_difference"] == 0.0)
-    full = lift(model5_no_sequence, BoundedSolutionEvaluator(model5_no_sequence, cert, 1e-8), grid)
+    full = lift(model5_no_sequence, ev, grid)
     rep_bound = verify_bound(full, cert, model5_no_sequence.forcing.sup_norm(ts5), 0.0)
     rng = np.random.default_rng(7)
     rep_stab = verify_stability(
@@ -246,7 +239,8 @@ def test_criterion_7_degenerate_scenarios(model5_no_sequence, model5_no_forcing,
 
     # switched-off periodic forcing: no periodic component
     cert_nf = certify(model5_no_forcing)
-    theta1_nf, _ = decompose(model5_no_forcing, cert_nf, grid, 1e-8)
+    ev_nf = BoundedSolutionEvaluator(model5_no_forcing, cert_nf, 1e-8)
+    theta1_nf, _ = decompose(model5_no_forcing, ev_nf, grid)
     _gate("criterion 7: zero periodic forcing gives zero periodic component",
           theta1_nf.max_norm() < 1e-12, f"max {theta1_nf.max_norm():.2e}")
 

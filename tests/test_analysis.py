@@ -68,7 +68,8 @@ class TestVerifyPeriodic:
 
     def test_periodic_component_passes(self, model5, cert5, ts5):
         grid = compact_grid(ts5, 1.0, 17.0, 0.2) + compact_grid(ts5, 9.0, 25.0, 0.2)
-        theta1, theta2 = decompose(model5, cert5, sorted(set(grid)), 1e-8)
+        ev = BoundedSolutionEvaluator(model5, cert5, 1e-8)
+        theta1, theta2 = decompose(model5, ev, grid)
         assert verify_periodic(theta1, ts5, tol=1e-6).passed
         # the sequence-driven part is not periodic
         assert not verify_periodic(theta2, ts5, tol=1e-6).passed
@@ -90,13 +91,8 @@ class TestVerifyPoisson:
 
     def test_worked_scenario(self, model5, cert5, ts5):
         returns = find_return_times(model5.sequence, (0, 20), 100_000, max_count=3)
-        poisson_part = BoundedSolutionEvaluator(
-            model5, cert5, 1e-8, include_periodic=False
-        )
-        report = verify_poisson(
-            as_timescale_function(model5, poisson_part),
-            ts5, returns, 1.0, 17.0, 0.05,
-        )
+        parts = as_timescale_function(model5, BoundedSolutionEvaluator(model5, cert5, 1e-8))
+        report = verify_poisson(lambda t: parts(t)[:, 1], ts5, returns, 1.0, 17.0, 0.05)
         assert report.passed
         sups = [report.metrics[f"D_{i}"] for i in range(3)]
         assert all(s > 0 for s in sups)
@@ -113,10 +109,9 @@ class TestVerifyPoisson:
         )
         cert = certify(model)
         returns = find_return_times(table, (0, 20), 180, max_count=3)
-        poisson_part = BoundedSolutionEvaluator(model, cert, 1e-6, include_periodic=False)
+        parts = as_timescale_function(model, BoundedSolutionEvaluator(model, cert, 1e-6))
         report = verify_poisson(
-            as_timescale_function(model, poisson_part),
-            ts5, returns, 1.0, 17.0, 0.5, eps=1e-3,
+            lambda t: parts(t)[:, 1], ts5, returns, 1.0, 17.0, 0.5, eps=1e-3,
         )
         assert not report.passed
 
@@ -205,12 +200,11 @@ class TestAggregate:
     def test_worked_scenario_identity(self, model5, cert5, ts5):
         returns = find_return_times(model5.sequence, (0, 20), 100_000, max_count=3)
         tol = 1e-8
-        full = BoundedSolutionEvaluator(model5, cert5, tol)
-        poisson_part = BoundedSolutionEvaluator(model5, cert5, tol, include_periodic=False)
+        parts = as_timescale_function(model5, BoundedSolutionEvaluator(model5, cert5, tol))
         kw = dict(compact_lo=1.0, compact_hi=17.0, grid_step=0.25)
-        rep2 = verify_poisson(as_timescale_function(model5, poisson_part), ts5, returns, **kw)
+        rep2 = verify_poisson(lambda t: parts(t)[:, 1], ts5, returns, **kw)
         repf = verify_poisson(
-            as_timescale_function(model5, full), ts5, returns,
+            lambda t: parts(t).sum(axis=1), ts5, returns,
             eps=rep2.parameters["eps"] + 2 * tol, **kw,
         )
         report = mpps_report(

@@ -149,7 +149,8 @@ class TestSimulateDynamic:
 class TestLift:
     def test_zero(self, ts5):
         model = quiet_model(ts5)
-        lifted = lift(model, lambda s: np.zeros(2), [0.0, 1.0, 5.0, 9.0])
+        ev = BoundedSolutionEvaluator(model, certify(model))
+        lifted = lift(model, ev, [0.0, 1.0, 4.0, 5.0, 9.0])
         assert lifted.max_norm() == 0.0
         assert lifted.provenance == "lifted"
 
@@ -159,7 +160,7 @@ class TestLift:
         assert np.array_equal(lifted.value(0.0), ev.value(0.0))   # psi(0) = 0
         assert np.array_equal(lifted.value(9.0), ev.value(6.0))   # psi(9) = 6
 
-    def test_left_endpoint_value_is_jump_image(self, model5, cert5, ts5):
+    def test_left_endpoint_value_is_right_limit(self, model5, cert5, ts5):
         ev = BoundedSolutionEvaluator(model5, cert5, tol=1e-9)
         lifted = lift(model5, ev, [4.0])
         phi0 = ev.value(1.0)  # impulse moment s_0 = 1
@@ -176,8 +177,13 @@ class TestLift:
     def test_as_timescale_function(self, model5, cert5):
         ev = BoundedSolutionEvaluator(model5, cert5, tol=1e-9)
         theta = as_timescale_function(model5, ev)
-        assert np.array_equal(theta(9.0), ev.value(6.0))
-        assert np.array_equal(theta(4.0), ev.right_limit(0))
+        assert np.array_equal(theta(9.0), ev.parts([6.0])[0])
+        assert np.array_equal(theta(9.0).sum(axis=0), ev.value(6.0))
+        assert np.array_equal(theta(4.0), ev.right_limit_parts(0))
+        assert np.allclose(theta(4.0).sum(axis=0), ev.right_limit(0), rtol=0.0, atol=1e-14)
+        batch = theta(np.array([[9.0, 4.0], [0.0, 9.0]]))
+        assert batch.shape == (2, 2, 2, 2)
+        assert np.array_equal(batch[0, 1], theta(4.0))
 
 
 class TestDeltaResidual:
@@ -252,28 +258,30 @@ class TestDecompose:
     def test_zero_sequence(self, model5_no_sequence):
         cert = certify(model5_no_sequence)
         grid = [0.0, 4.0, 6.5, 9.0]
-        theta1, theta2 = decompose(model5_no_sequence, cert, grid)
-        assert theta2.max_norm() < 1e-12
+        ev = BoundedSolutionEvaluator(model5_no_sequence, cert)
+        theta1, theta2 = decompose(model5_no_sequence, ev, grid)
+        assert theta2.max_norm() == 0.0
         assert theta1.max_norm() > 0.1
 
     def test_zero_forcing(self, model5_no_forcing):
         cert = certify(model5_no_forcing)
-        theta1, theta2 = decompose(model5_no_forcing, cert, [0.0, 4.0, 6.5])
+        ev = BoundedSolutionEvaluator(model5_no_forcing, cert)
+        theta1, theta2 = decompose(model5_no_forcing, ev, [0.0, 4.0, 6.5])
         assert theta1.max_norm() < 1e-12
         assert theta2.max_norm() > 0.1
 
     def test_sum_matches_full_solution(self, model5, cert5):
-        tol = 1e-8
-        grid = [0.0, 4.0, 5.5, 9.0, 13.0]
-        theta1, theta2 = decompose(model5, cert5, grid, tol)
-        full = lift(model5, BoundedSolutionEvaluator(model5, cert5, tol), grid)
+        ev = BoundedSolutionEvaluator(model5, cert5, 1e-8)
+        grid = [0.0, 4.0, 5.5, 9.0, 12.0, 13.0]
+        theta1, theta2 = decompose(model5, ev, grid)
+        full = lift(model5, ev, grid)
         for t in grid:
             gap = np.linalg.norm(full.value(t) - theta1.value(t) - theta2.value(t))
-            assert gap <= 2.0 * tol
+            assert gap <= 1e-14
 
     def test_periodic_part_is_period_periodic(self, model5, cert5):
         grid = list(np.linspace(4.05, 8.95, 25)) + list(np.linspace(12.05, 16.95, 25))
-        theta1, _ = decompose(model5, cert5, grid, 1e-8)
+        theta1, _ = decompose(model5, BoundedSolutionEvaluator(model5, cert5, 1e-8), grid)
         for t in np.linspace(4.05, 8.95, 25):
             dev = np.linalg.norm(theta1.value(t + 8.0) - theta1.value(t))
             assert dev < 1e-6

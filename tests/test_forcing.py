@@ -185,6 +185,20 @@ class TestReturnTimes:
             direct = recurrence_defect(sequence5, (0, 20), entry.zeta)
             assert entry.defect == pytest.approx(direct, rel=1e-12)
 
+    def test_records_match_a_scan(self):
+        # quantized terms make many shifts tie; only a strict improvement records
+        rng = np.random.default_rng(3)
+        seq = TableSequence({k: [0.25 * v] for k, v in enumerate(rng.integers(0, 5, 400))})
+        returns = find_return_times(seq, (0, 10), 300, max_count=300)
+        records, best = [], math.inf
+        for zeta in range(1, 301):
+            d = recurrence_defect(seq, (0, 10), zeta)
+            if d < best:
+                best = d
+                records.append((zeta, d))
+        assert len(records) >= 2
+        assert [(e.zeta, e.defect) for e in returns.entries] == records
+
     def test_max_count_keeps_deepest(self, sequence5):
         all_records = find_return_times(sequence5, (0, 20), 100_000, max_count=64)
         last3 = find_return_times(sequence5, (0, 20), 100_000, max_count=3)

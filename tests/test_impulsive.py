@@ -267,32 +267,52 @@ class TestBoundedSolution:
 class TestComponents:
     def test_zero_sequence_means_zero_poisson_part(self, model5_no_sequence):
         cert = certify(model5_no_sequence)
-        poi = BoundedSolutionEvaluator(model5_no_sequence, cert, include_periodic=False)
-        assert np.allclose(poi.value(4.2), np.zeros(2), atol=1e-12)
-        full = BoundedSolutionEvaluator(model5_no_sequence, cert).value(4.2)
-        per = BoundedSolutionEvaluator(
-            model5_no_sequence, cert, include_sequence=False
-        ).value(4.2)
-        assert np.allclose(full, per, atol=1e-12)
+        ev = BoundedSolutionEvaluator(model5_no_sequence, cert)
+        periodic, sequence = ev.parts([4.2])[0]
+        assert np.array_equal(sequence, np.zeros(2))
+        assert np.array_equal(ev.right_limit_parts(1)[1], np.zeros(2))
+        assert np.array_equal(ev.value(4.2), periodic)
 
     def test_zero_forcing_means_zero_periodic_part(self, model5_no_forcing):
         cert = certify(model5_no_forcing)
-        per = BoundedSolutionEvaluator(model5_no_forcing, cert, include_sequence=False)
-        assert np.allclose(per.value(4.2), np.zeros(2), atol=1e-12)
+        ev = BoundedSolutionEvaluator(model5_no_forcing, cert)
+        assert np.allclose(ev.parts([4.2])[0, 0], np.zeros(2), atol=1e-12)
 
     def test_periodic_component_is_stride_periodic(self, model5, cert5):
-        ev = BoundedSolutionEvaluator(model5, cert5, tol=1e-8, include_sequence=False)
-        for s in np.linspace(1.3, 5.9, 12):
-            assert np.linalg.norm(ev.value(s + 5.0) - ev.value(s)) < 1e-6
+        ev = BoundedSolutionEvaluator(model5, cert5, tol=1e-8)
+        s = np.linspace(1.3, 5.9, 12)
+        drift = ev.parts(s + 5.0)[:, 0] - ev.parts(s)[:, 0]
+        assert np.max(np.linalg.norm(drift, axis=1)) < 1e-6
 
     def test_parts_sum_to_full(self, model5, cert5):
-        tol = 1e-8
-        full = BoundedSolutionEvaluator(model5, cert5, tol)
-        per = BoundedSolutionEvaluator(model5, cert5, tol, include_sequence=False)
-        poi = BoundedSolutionEvaluator(model5, cert5, tol, include_periodic=False)
-        for s in (1.0, 2.2, 8.8, 14.3):
-            gap = np.linalg.norm(full.value(s) - per.value(s) - poi.value(s))
-            assert gap <= 2.0 * tol
+        ev = BoundedSolutionEvaluator(model5, cert5, 1e-8)
+        s = np.array([1.0, 2.2, 8.8, 14.3])
+        assert np.array_equal(ev.parts(s).sum(axis=1), ev.values(s))
+        for k in (0, 1, 3):
+            split = ev.right_limit_parts(k).sum(axis=0)
+            assert np.allclose(split, ev.right_limit(k), rtol=0.0, atol=1e-14)
+
+
+class TestJump:
+    def test_formula(self, model5, ts5):
+        x = np.array([0.3, -1.7])
+        k = 2
+        pulse = (
+            ROTATION_A @ x
+            + model5.forcing.value(ts5.psi_inv(ts5.impulse_point(k)))
+            + model5.sequence.term(k)
+        )
+        assert np.allclose(model5.jump(k, x), x + ts5.gap * pulse, rtol=0.0, atol=1e-14)
+
+    def test_parts_split_the_pulse(self, model5, ts5):
+        parts = np.array([[0.3, -1.7], [2.0, 0.5]])
+        k = -1
+        jumped = model5.jump(k, parts)
+        f = model5.forcing.value(ts5.anchor)
+        term = model5.sequence.term(k)
+        assert np.allclose(jumped[0], parts[0] + ts5.gap * (ROTATION_A @ parts[0] + f))
+        assert np.allclose(jumped[1], parts[1] + ts5.gap * (ROTATION_A @ parts[1] + term))
+        assert np.allclose(jumped.sum(axis=0), model5.jump(k, parts.sum(axis=0)))
 
 
 class TestModelValidation:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from tsdyn.matrixkit import expm, int_power, spectral_norm, spectral_radius
+from tsdyn.matrixkit import expm, spectral_norm, spectral_radius
 
 from conftest import ROTATION_A
 
@@ -56,19 +56,6 @@ class TestExpm:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             expm(np.array([[np.nan, 0.0], [0.0, 0.0]]))
-
-
-class TestIntPower:
-    def test_small_powers(self):
-        rng = np.random.default_rng(5)
-        M = random_matrix(rng, 3)
-        assert np.allclose(int_power(M, 0), np.eye(3))
-        assert np.allclose(int_power(M, 1), M)
-        assert np.allclose(int_power(M, 5), M @ M @ M @ M @ M, rtol=1e-12)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            int_power(np.eye(2), -1)
 
 
 class TestSpectralRadius:

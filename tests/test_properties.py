@@ -95,14 +95,22 @@ def test_batched_matches_single_point(model, s):
 @given(model=stable_models(), s=points)
 def test_components(model, s):
     cert = certify(model)
-    full = BoundedSolutionEvaluator(model, cert, TOL).values(s)
-    periodic = BoundedSolutionEvaluator(model, cert, TOL, include_sequence=False)
-    sequence = BoundedSolutionEvaluator(model, cert, TOL, include_periodic=False)
-    here = periodic.values(s)
-    shifted = periodic.values(np.asarray(s) + model.ts.stride)
+    ev = BoundedSolutionEvaluator(model, cert, TOL)
+    parts = ev.parts(s)
+    assert parts.shape == (len(s), 2, model.dimension)
+    assert np.array_equal(parts.sum(axis=1), ev.values(s))
+    here = parts[:, 0]
+    shifted = ev.parts(np.asarray(s) + model.ts.stride)[:, 0]
     assert np.max(np.abs(shifted - here)) <= 1e-12 * _scale(here)
-    parts = here + sequence.values(s)
-    assert np.max(np.abs(parts - full)) <= 1e-12 * _scale(full)
+    # superposition: each part is the bounded solution under its own forcing alone
+    m, ts = model.dimension, model.ts
+    quiet = TableSequence({k: np.zeros(m) for k in range(-1000, 101)})
+    periodic_only = ImpulsiveModel(model.matrix, ts, model.forcing, quiet)
+    sequence_only = ImpulsiveModel(model.matrix, ts, TrigForcing.zero(m, ts.period), model.sequence)
+    periodic = BoundedSolutionEvaluator(periodic_only, cert, TOL).values(s)
+    assert np.max(np.abs(periodic - here)) <= 1e-12 * _scale(here)
+    sequence = BoundedSolutionEvaluator(sequence_only, cert, TOL).values(s)
+    assert np.max(np.abs(sequence - parts[:, 1])) <= TOL
 
 
 @settings(PROPERTY_SETTINGS, max_examples=10)
