@@ -178,6 +178,13 @@ class SupNormBound(NamedTuple):
     ceiling: float
 
 
+def _logistic_tail(r: float, z: float, count: int):
+    """The ``count`` logistic iterates after ``z``, in plain Python floats."""
+    for _ in range(count):
+        z = r * z * (1.0 - z)
+        yield z
+
+
 class LogisticSequence:
     """Bounded vector sequence built from a logistic-map orbit.
 
@@ -215,6 +222,7 @@ class LogisticSequence:
         self._output.setflags(write=False)
         self._lock = threading.Lock()
         self._orbit = np.array([z0])
+        self._orbit.setflags(write=False)
 
     @property
     def r(self) -> float:
@@ -240,10 +248,11 @@ class LogisticSequence:
         """First ``count`` orbit values starting at index ``k_min``."""
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
-        return self._values(self._k_min, self._k_min + count - 1)
+        return self._values(self._k_min, self._k_min + count - 1).copy()
 
     def _values(self, k_lo: int, k_hi: int) -> np.ndarray:
-        """Orbit slice z[k_lo..k_hi] (inclusive), growing the cache as needed."""
+        """Read-only view of the orbit z[k_lo..k_hi] (inclusive), growing the
+        cache as needed.  A grown cache is a new array, so a view never changes."""
         if k_lo < self._k_min:
             raise ValueError(
                 f"sequence index {k_lo} precedes the seed index {self._k_min}; "
@@ -254,15 +263,13 @@ class LogisticSequence:
             with self._lock:
                 if needed > self._orbit.size:
                     old = self._orbit
-                    grown = np.empty(max(needed, 2 * old.size))
-                    grown[: old.size] = old
-                    r = self._r
-                    for i in range(old.size, grown.size):
-                        z = grown[i - 1]
-                        grown[i] = r * z * (1.0 - z)
+                    count = max(needed, 2 * old.size) - old.size
+                    tail = _logistic_tail(self._r, float(old[-1]), count)
+                    grown = np.concatenate((old, np.fromiter(tail, float, count)))
+                    grown.setflags(write=False)
                     self._orbit = grown
         lo = k_lo - self._k_min
-        return self._orbit[lo: k_hi - self._k_min + 1].copy()
+        return self._orbit[lo: k_hi - self._k_min + 1]
 
     def term(self, k: int) -> np.ndarray:
         """Sequence value at integer index ``k`` (k >= k_min)."""
@@ -393,6 +400,27 @@ def recurrence_defect(seq: PoissonSequence, window: tuple[int, int], zeta: int) 
     return float(np.max(np.linalg.norm(shifted - base, axis=1)))
 
 
+# Shifts per block of the return scan: the pruning bound tightens once per
+# block, and the per-block temporaries stay near a MiB at m = 8.
+_SCAN_BLOCK = 1 << 14
+# Leading window offsets whose defect max serves as the pruning lower bound.
+_BOUND_OFFSETS = 2
+
+
+def _offset_defects(terms: np.ndarray, offsets: range, shifts) -> np.ndarray:
+    """``max ||terms[offset + 1 + i] - terms[offset]||`` over ``offsets``.
+
+    ``shifts`` selects the shift indices ``i`` (shift ``zeta = i + 1``) as a
+    slice or an index array.  Each row norm is the same arithmetic as in
+    :func:`recurrence_defect`, so the values agree bit for bit.
+    """
+    out = None
+    for offset in offsets:
+        norms = np.linalg.norm(terms[offset + 1:][shifts] - terms[offset], axis=1)
+        out = norms if out is None else np.maximum(out, norms, out=out)
+    return out
+
+
 def find_return_times(
     seq: PoissonSequence,
     window: tuple[int, int],
@@ -401,9 +429,21 @@ def find_return_times(
 ) -> ReturnTimeSet:
     """Scan shifts ``1..zeta_max`` and keep record-improving recurrence defects.
 
-    A shift is recorded whenever its defect strictly improves the best value
-    seen so far; the deepest ``max_count`` records are returned.  Requires the
-    sequence to be defined on ``[window_lo, window_hi + zeta_max]``.
+    A shift is recorded whenever its defect (:func:`recurrence_defect`)
+    strictly improves the best value seen so far; the deepest ``max_count``
+    records are returned.  Requires the sequence to be defined on
+    ``[window_lo, window_hi + zeta_max]``.
+
+    The scan is exact but pruned.  It walks the shifts in increasing order in
+    blocks.  For each block it first takes a lower bound: the maximum of the
+    per-offset norms over the first two window offsets only.  The full window
+    defect is computed only for shifts whose bound lies strictly below the
+    best full defect of all earlier blocks.  A pruned shift has full defect
+    >= bound >= best, so it cannot strictly improve on the best and is never
+    a record; it also cannot lower the running best.  The survivors' defects
+    are the same row norms as the full scan's and the maximum is exact, so
+    the records, their defects and the tie rule (a tie never records) are
+    those of the full scan.
     """
     lo, hi = int(window[0]), int(window[1])
     if hi < lo:
@@ -416,15 +456,23 @@ def find_return_times(
 
     terms = seq.terms(lo, hi + zeta_max)  # indices lo .. hi+zeta_max
     width = hi - lo + 1
-    best_by_shift = np.zeros(zeta_max)
-    for offset in range(width):
-        col = terms[offset + 1: offset + 1 + zeta_max] - terms[offset]
-        np.maximum(best_by_shift, np.linalg.norm(col, axis=1), out=best_by_shift)
-
-    # a record strictly improves on every shorter shift: exactly where the
-    # running minimum steps down (taken in place, so no second array)
-    running = np.minimum.accumulate(best_by_shift, out=best_by_shift)
-    steps = np.flatnonzero(running[1:] < running[:-1]) + 1
-    records = np.concatenate(([0], steps))[-max_count:]
-    entries = (ReturnEntry(zeta=int(i) + 1, defect=float(running[i])) for i in records)
-    return ReturnTimeSet(window=(lo, hi), entries=tuple(entries))
+    head = range(min(width, _BOUND_OFFSETS))
+    rest = range(len(head), width)
+    best = math.inf
+    records: list[ReturnEntry] = []
+    for start in range(0, zeta_max, _SCAN_BLOCK):
+        bound = _offset_defects(terms, head, slice(start, min(start + _SCAN_BLOCK, zeta_max)))
+        keep = np.flatnonzero(bound < best)
+        if keep.size == 0:
+            continue
+        full = bound[keep]
+        if rest:
+            np.maximum(full, _offset_defects(terms, rest, start + keep), out=full)
+        # prior[j]: the best defect of every shorter shift; a record is strictly below it
+        prior = np.minimum.accumulate(np.concatenate(([best], full)))
+        records.extend(
+            ReturnEntry(zeta=start + int(keep[j]) + 1, defect=float(full[j]))
+            for j in np.flatnonzero(full < prior[:-1])
+        )
+        best = float(prior[-1])
+    return ReturnTimeSet(window=(lo, hi), entries=tuple(records[-max_count:]))

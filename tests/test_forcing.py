@@ -117,6 +117,19 @@ class TestLogisticSequence:
         assert np.array_equal(b.term(500), late)
         assert np.array_equal(b.term(3), early)
 
+    def test_growth_matches_scalar_recurrence(self):
+        r, z = 3.9, 0.4
+        reference = [z]
+        for _ in range(9_999):
+            z = r * z * (1.0 - z)
+            reference.append(z)
+        seq = LogisticSequence(r, 0.4, k_min=-7, output_map=(1.0,))
+        for count in (1, 2, 3, 17, 130, 2_500, 10_000):  # several cache growths
+            assert seq.orbit(count).tolist() == reference[:count]
+        assert seq.terms(-7, 9_992)[:, 0].tolist() == reference
+        seq.orbit(3)[:] = 0.0  # a caller's copy, not the cache
+        assert seq.orbit(3).tolist() == reference[:3]
+
     def test_concurrent_reads_match_sequential(self):
         from concurrent.futures import ThreadPoolExecutor
 
@@ -180,10 +193,9 @@ class TestReturnTimes:
         assert all(b < a for a, b in zip(defects, defects[1:]))
         zetas = returns.zetas
         assert all(b > a for a, b in zip(zetas, zetas[1:]))
-        # oracle: recompute two defects by the direct definition
-        for entry in returns.entries[-2:]:
-            direct = recurrence_defect(sequence5, (0, 20), entry.zeta)
-            assert entry.defect == pytest.approx(direct, rel=1e-12)
+        # oracle: the direct definition, bit for bit
+        for entry in returns.entries:
+            assert entry.defect == recurrence_defect(sequence5, (0, 20), entry.zeta)
 
     def test_records_match_a_scan(self):
         # quantized terms make many shifts tie; only a strict improvement records

@@ -3,7 +3,11 @@ transition matrices, and for the closed-form bounded-solution evaluator,
 batched and single-point evaluation agree, the value matches forward
 integration from deep in the past, the periodic component is
 stride-periodic, and the two components sum to the full solution.  The
-blocked RK4 scan agrees with a plain per-step RK4 loop, stable or not."""
+blocked RK4 scan agrees with a plain per-step RK4 loop, stable or not, and
+the pruned return-time scan finds exactly the records of a full scan."""
+
+import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -21,9 +25,12 @@ from tsdyn import (
     certify,
     check_contractive_period,
     check_invertible_jump,
+    find_return_times,
     integrate,
     matriciant,
+    recurrence_defect,
 )
+from tsdyn import forcing
 from tsdyn.impulsive import _rk4_segment
 
 # Deterministic example generation keeps the suite reproducible.
@@ -178,3 +185,35 @@ def test_rk4_scan_matches_step_loop(m, n, h, abscissa, seed):
     got = _rk4_segment(A, u, h, y0)
     assert got.shape == (n, m)
     assert np.max(np.abs(got - expected)) <= 1e-11 * _scale(expected)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=60)
+@given(
+    m=st.integers(1, 3),
+    levels=st.integers(2, 4),
+    lo=st.integers(-5, 5),
+    width=st.integers(1, 6),
+    zeta_max=st.integers(1, 150),
+    max_count=st.integers(1, 8),
+    block=st.integers(1, 16),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+@example(m=1, levels=2, lo=0, width=1, zeta_max=150, max_count=8, block=1, seed=0)
+@example(m=2, levels=3, lo=-3, width=6, zeta_max=64, max_count=1, block=16, seed=1)
+def test_pruned_return_scan_matches_full_scan(
+    m, levels, lo, width, zeta_max, max_count, block, seed
+):
+    # few quantized levels make many shifts tie; only a strict improvement records
+    rng = np.random.default_rng(seed)
+    hi = lo + width - 1
+    values = 0.25 * rng.integers(0, levels, (hi + zeta_max - lo + 1, m))
+    seq = TableSequence({lo + k: v for k, v in enumerate(values)})
+    records, best = [], math.inf
+    for zeta in range(1, zeta_max + 1):
+        d = recurrence_defect(seq, (lo, hi), zeta)
+        if d < best:
+            best = d
+            records.append((zeta, d))
+    with mock.patch.object(forcing, "_SCAN_BLOCK", block):  # many blocks per scan
+        got = find_return_times(seq, (lo, hi), zeta_max, max_count)
+    assert [(e.zeta, e.defect) for e in got.entries] == records[-max_count:]
