@@ -17,7 +17,7 @@ import numpy as np
 
 from .dynamic import TimeScaleSolution, simulate_dynamic
 from .errors import TimeScaleDomainError
-from .forcing import ReturnTimeSet
+from .forcing import ReturnTimeSet, TableSequence, TrigForcing
 from .impulsive import ImpulsiveModel, StabilityCert, solution_bound
 from .timescale import _BOUNDARY_RTOL, TimeScaleSpec, sample_index
 
@@ -212,10 +212,13 @@ def verify_stability(
 ) -> VerificationReport:
     """Check exponential contraction of two trajectories.
 
-    Simulates both initial states over the horizon, fits the slope of the
-    log separation against the collapsed time ``psi(t)``, and checks both
-    the fitted slope against the certified decay rate and pointwise
-    domination by the certificate envelope.
+    By linearity the separation of the trajectories from ``y0a`` and ``y0b``
+    is the homogeneous solution from ``y0a - y0b``, so it is marched
+    directly, with the model's matrix and scale and no forcing, rather than
+    as the difference of two forced marches that cancel down to round-off.
+    The check fits the slope of the log separation against the collapsed
+    time ``psi(t)``, and checks both the fitted slope against the certified
+    decay rate and pointwise domination by the certificate envelope.
     """
     ts = model.ts
     if horizon < 5.0 * ts.period:
@@ -225,22 +228,27 @@ def verify_stability(
         raise TimeScaleDomainError(f"t0 + horizon = {t_end!r} is not in the time scale")
     s0 = ts.psi(t0)
 
-    sol_a = simulate_dynamic(model, y0a, t0, t_end, step)
-    sol_b = simulate_dynamic(model, y0b, t0, t_end, step)
-    if sol_a.t.size != sol_b.t.size:
-        raise RuntimeError("trajectory meshes diverged")  # identical construction
+    y0 = np.asarray(y0a, float) - np.asarray(y0b, float)
+    # the march reads the sequence at the gap indices k0..k1 of its ends
+    k0, k1 = ts.locate(t0)[0], ts.locate(t_end)[0]
+    zeros = np.zeros(model.dimension)
+    homogeneous = ImpulsiveModel(
+        model.matrix, ts, TrigForcing.zero(model.dimension, ts.period),
+        TableSequence({k: zeros for k in range(k0, k1 + 1)}),
+    )
+    sol = simulate_dynamic(homogeneous, y0, t0, t_end, step)
 
-    separation = np.linalg.norm(sol_a.y - sol_b.y, axis=1)
+    separation = np.linalg.norm(sol.y, axis=1)
     # psi(t) = t - k*gap with k = ceil((t - anchor)/period) snapped down at
     # right endpoints; the samples hold no left endpoint
-    u = (sol_a.t - ts.anchor) / ts.period
-    collapsed = sol_a.t - ts.gap * np.ceil(u - _BOUNDARY_RTOL * np.maximum(1.0, np.abs(u)))
-    initial = float(np.linalg.norm(np.asarray(y0a, float) - np.asarray(y0b, float)))
+    u = (sol.t - ts.anchor) / ts.period
+    collapsed = sol.t - ts.gap * np.ceil(u - _BOUNDARY_RTOL * np.maximum(1.0, np.abs(u)))
+    initial = float(np.linalg.norm(y0))
 
     envelope = cert.prefactor * initial * np.exp(-cert.decay_rate * (collapsed - s0))
     margin = envelope - separation
-    for k, va in sol_a.endpoint_values.items():
-        sep = float(np.linalg.norm(va - sol_b.endpoint_values[k]))
+    for k, v in sol.endpoint_values.items():
+        sep = float(np.linalg.norm(v))
         env = cert.prefactor * initial * math.exp(
             -cert.decay_rate * (ts.impulse_point(k) - s0)
         )

@@ -14,6 +14,12 @@ returns    return-time mining -> returns.json
 verify     all verification reports -> verify.json
 example    run the bundled two-dimensional logistic scenario end to end
 
+Each derived stage of the pipeline (the assumption checks, the decay
+certificate, the bounded-solution evaluator and the return sets) is computed
+once per config, on first use, and shared by every subcommand run on that
+config: ``example`` certifies once, builds one evaluator and scans each
+return window once.
+
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage or
 configuration error or any other library error (every
 :class:`~tsdyn.errors.TsdynError`).  Errors emit a one-line JSON record on
@@ -58,8 +64,11 @@ import math
 import sys
 from array import array
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -69,11 +78,12 @@ from .forcing import (
     ForcingComponent,
     Harmonic,
     LogisticSequence,
+    ReturnTimeSet,
     TableSequence,
     TrigForcing,
     find_return_times,
 )
-from .impulsive import BoundedSolutionEvaluator, ImpulsiveModel
+from .impulsive import BoundedSolutionEvaluator, ImpulsiveModel, StabilityCert
 from .timescale import TimeScaleSpec
 
 EXIT_OK = 0
@@ -105,12 +115,54 @@ _WINDOW_DEFAULTS = {
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated scenario: model ingredients plus tolerances and windows."""
+    """Validated scenario: model ingredients plus tolerances and windows.
+
+    The derived stages below are computed on first use and kept, so each is
+    computed once per config however many subcommands read it.  They depend
+    only on the fields, which is why :func:`parse_config` hands out the
+    tolerances and windows as read-only mappings.  The kept records are
+    shared: read them, never change them.
+    """
 
     ts: TimeScaleSpec
     model: ImpulsiveModel
-    tolerances: dict = field(default_factory=dict)
-    windows: dict = field(default_factory=dict)
+    tolerances: Mapping = field(default_factory=dict)
+    windows: Mapping = field(default_factory=dict)
+
+    @cached_property
+    def assumptions(self) -> tuple[bool, dict]:
+        """Both spectral assumption checks: joint verdict and the JSON record."""
+        a1 = impulsive.check_invertible_jump(self.model)
+        a2 = impulsive.check_contractive_period(self.model)
+        return a1.passed and a2.passed, {
+            "A1": {"passed": a1.passed, "det": a1.value},
+            "A2": {"passed": a2.passed, "spectral_radius": a2.value},
+        }
+
+    @cached_property
+    def certificate(self) -> StabilityCert:
+        """The decay certificate ``(N, lambda)`` of the model."""
+        return impulsive.certify(self.model)
+
+    @cached_property
+    def evaluator(self) -> BoundedSolutionEvaluator:
+        """The bounded-solution evaluator at ``tolerances.eval_tol``."""
+        return BoundedSolutionEvaluator(self.model, self.certificate, self.tolerances["eval_tol"])
+
+    @cached_property
+    def _return_sets(self) -> dict[tuple[int, int], ReturnTimeSet]:
+        return {}
+
+    def return_set(self, window: tuple[int, int]) -> ReturnTimeSet:
+        """Return times mined over an integer index window, one scan per window."""
+        if window not in self._return_sets:
+            self._return_sets[window] = find_return_times(
+                self.model.sequence,
+                window,
+                int(self.windows["zeta_max"]),
+                int(self.windows["max_returns"]),
+            )
+        return self._return_sets[window]
 
 
 def _require_mapping(raw, name: str, issues: list[str]) -> dict:
@@ -209,12 +261,12 @@ def _build_sequence(raw, issues):
     return None
 
 
-def _merged_defaults(raw, defaults, name, issues) -> dict:
+def _merged_defaults(raw, defaults, name, issues) -> Mapping:
     raw = _require_mapping(raw, name, issues) if raw is not None else {}
     _reject_unknown(raw, defaults, name, issues)
     merged = dict(defaults)
     merged.update(raw)
-    return merged
+    return MappingProxyType(merged)  # a config's kept stages must not go stale
 
 
 def parse_config(raw: dict) -> ScenarioConfig:
@@ -340,20 +392,10 @@ def _write_json(path: Path, payload) -> None:
 # subcommands
 
 
-def _assumptions(model: ImpulsiveModel) -> tuple[bool, dict]:
-    """Both spectral assumption checks: joint verdict and the JSON record."""
-    a1 = impulsive.check_invertible_jump(model)
-    a2 = impulsive.check_contractive_period(model)
-    return a1.passed and a2.passed, {
-        "A1": {"passed": a1.passed, "det": a1.value},
-        "A2": {"passed": a2.passed, "spectral_radius": a2.value},
-    }
-
-
 def _cmd_check(cfg: ScenarioConfig, out: Path) -> int:
-    ok, payload = _assumptions(cfg.model)
-    payload["certificate"] = asdict(impulsive.certify(cfg.model)) if ok else None
-    _write_json(out / "check.json", payload)
+    ok, assumptions = cfg.assumptions
+    certificate = asdict(cfg.certificate) if ok else None
+    _write_json(out / "check.json", {**assumptions, "certificate": certificate})
     return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
 
 
@@ -389,27 +431,23 @@ def _scenario_grid(cfg: ScenarioConfig) -> list[float]:
 
 
 def _cmd_bounded(cfg: ScenarioConfig, out: Path) -> int:
-    cert = impulsive.certify(cfg.model)
-    evaluator = BoundedSolutionEvaluator(cfg.model, cert, cfg.tolerances["eval_tol"])
-    sol = dynamic.lift(cfg.model, evaluator, _scenario_grid(cfg))
+    sol = dynamic.lift(cfg.model, cfg.evaluator, _scenario_grid(cfg))
     write_solution_csv(out / "bounded.csv", sol)
     return EXIT_OK
 
 
 def _cmd_decompose(cfg: ScenarioConfig, out: Path) -> int:
-    cert = impulsive.certify(cfg.model)
-    evaluator = BoundedSolutionEvaluator(cfg.model, cert, cfg.tolerances["eval_tol"])
-    theta1, theta2 = dynamic.decompose(cfg.model, evaluator, _scenario_grid(cfg))
+    theta1, theta2 = dynamic.decompose(cfg.model, cfg.evaluator, _scenario_grid(cfg))
     write_solution_csv(out / "theta1.csv", theta1)
     write_solution_csv(out / "theta2.csv", theta2)
     return EXIT_OK
 
 
-def _mine_returns(cfg: ScenarioConfig, cert=None):
+def _mine_returns(cfg: ScenarioConfig, padded: bool = False) -> ReturnTimeSet:
     window = cfg.windows.get("return_window")
     if window is None:
         # default: the interval indices spanned by the compact window, padded
-        # below by the decay-based depth when a certificate is available
+        # on both sides by the decay-based depth when asked
         lo_t, hi_t = cfg.windows.get("compact_lo"), cfg.windows.get("compact_hi")
         if lo_t is None or hi_t is None:
             raise ConfigError(
@@ -418,16 +456,11 @@ def _mine_returns(cfg: ScenarioConfig, cert=None):
         lo = math.floor((float(lo_t) - cfg.ts.anchor) / cfg.ts.period)
         hi = math.ceil((float(hi_t) - cfg.ts.anchor) / cfg.ts.period)
         pad = 0
-        if cert is not None:
+        if padded:
             sup_seq = impulsive._sequence_ceiling(cfg.model.sequence)
-            pad = analysis._window_padding(cert, cfg.ts, sup_seq, 1e-3)
+            pad = analysis._window_padding(cfg.certificate, cfg.ts, sup_seq, 1e-3)
         window = (lo - pad, hi + pad)
-    return find_return_times(
-        cfg.model.sequence,
-        (int(window[0]), int(window[1])),
-        int(cfg.windows["zeta_max"]),
-        int(cfg.windows["max_returns"]),
-    )
+    return cfg.return_set((int(window[0]), int(window[1])))
 
 
 def _cmd_returns(cfg: ScenarioConfig, out: Path) -> int:
@@ -439,11 +472,11 @@ def _cmd_returns(cfg: ScenarioConfig, out: Path) -> int:
 def _cmd_verify(cfg: ScenarioConfig, out: Path) -> int:
     model, ts = cfg.model, cfg.ts
     tol = cfg.tolerances["eval_tol"]
-    ok, assumptions = _assumptions(model)
+    ok, assumptions = cfg.assumptions
     if not ok:
         _write_json(out / "verify.json", {"assumptions": assumptions})
         return EXIT_VERIFICATION_FAILED
-    cert = impulsive.certify(model)
+    cert = cfg.certificate
 
     lo = cfg.windows.get("compact_lo")
     hi = cfg.windows.get("compact_hi")
@@ -454,12 +487,12 @@ def _cmd_verify(cfg: ScenarioConfig, out: Path) -> int:
     grid = analysis.compact_grid(ts, lo, hi, grid_step)
     shifted = analysis.compact_grid(ts, lo + ts.period, hi + ts.period, grid_step)
 
-    evaluator = BoundedSolutionEvaluator(model, cert, tol)
+    evaluator = cfg.evaluator
     theta = dynamic.lift(model, evaluator, grid)
     theta1, _ = dynamic.decompose(model, evaluator, grid + shifted)
 
     report_periodic = analysis.verify_periodic(theta1, ts, cfg.tolerances["period_tol"])
-    returns = _mine_returns(cfg, cert)
+    returns = _mine_returns(cfg, padded=True)
     eps = cfg.tolerances["poisson_eps"]
     theta_parts = dynamic.as_timescale_function(model, evaluator)
     # Both reports evaluate the same compact grid and return-shifted grids;

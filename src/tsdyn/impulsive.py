@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -44,6 +44,10 @@ from .timescale import TimeScaleSpec, _edge_tol, _snapped_ceil, sample_index
 _DET_FLOOR = 1e-10
 _RADIUS_MARGIN = 1e-10
 _DECAY_SAFETY = 0.9
+# Segment exponentials one evaluator keeps: far more than the distinct partial
+# lengths of a CLI run (about 400 on the bundled scenario), few enough that
+# point-by-point evaluation over a long grid stays within a few MiB at m = 8.
+_SEGMENT_MEMO_SIZE = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -424,8 +428,19 @@ class BoundedSolutionEvaluator:
 
     :meth:`parts` returns the periodic component and the sequence-driven
     component side by side, both from the same segment exponential;
-    :meth:`values` is their sum, the full bounded solution.  Instances are
-    immutable after construction and safe for concurrent evaluation.
+    :meth:`values` is their sum, the full bounded solution.
+
+    The points of one run share few partial lengths: callers evaluate the
+    same grids more than once, and a grid repeats its lengths from one
+    interval to the next.  So an instance keeps the top block rows it
+    computes in a memo keyed on the exact float length, with no snapping: a
+    memo hit returns the bits a fresh computation gives.  The memo holds at
+    most ``_SEGMENT_MEMO_SIZE`` lengths, least recently used first out, and
+    starts with the whole stride built by the constructor.  It is a
+    ``functools.lru_cache``, whose lookups and inserts are thread-safe; two
+    threads that miss on one length both compute the same value.  The memo
+    is the only state that changes after construction, so instances are
+    safe for concurrent evaluation.
     """
 
     def __init__(self, model: ImpulsiveModel, cert: StabilityCert, tol: float = 1e-8) -> None:
@@ -456,7 +471,15 @@ class BoundedSolutionEvaluator:
         generator[m:m + d, m:m + d] = W
         self._generator = generator
 
-        whole = self._segment(ts.stride)
+        @lru_cache(maxsize=_SEGMENT_MEMO_SIZE)
+        def segment(length: float) -> np.ndarray:
+            """Top block row ``[expm(A L), F(L), K(L)]`` of the augmented exponential."""
+            top = matrixkit.expm(length * generator)[:m].copy()
+            top.setflags(write=False)  # one array serves every caller
+            return top
+
+        self._segment = segment
+        whole = segment(ts.stride)
         E, F, G = whole[:, :m], whole[:, m:m + d], whole[:, m + d:]
         Q = model.jump_factor
         B = E @ Q
@@ -487,8 +510,9 @@ class BoundedSolutionEvaluator:
 
         Both rows come from one segment exponential, weighted by
         ``[head, z0, 0]`` and by ``[walk over the gaps, 0, term]``.  Points
-        with equal partial length share the exponential, and points below the
-        same impulse with the same depth share one walk over the gaps.
+        with equal partial length share the exponential, which the memo keeps
+        for later calls, and points below the same impulse with the same
+        depth share one walk over the gaps.
         """
         ts = self.model.ts
         m = self.model.dimension
@@ -523,10 +547,6 @@ class BoundedSolutionEvaluator:
         return self.model.jump(k, self.parts([self.model.ts.impulse_point(k)])[0])
 
     # -- internals -----------------------------------------------------
-
-    def _segment(self, length: float) -> np.ndarray:
-        """Top block row ``[expm(A L), F(L), K(L)]`` of the augmented exponential."""
-        return matrixkit.expm(length * self._generator)[: self.model.dimension]
 
     def _gap_walk(self, k: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
         """Sequence sum over the ``depth`` whole gaps ending at impulse ``k``,

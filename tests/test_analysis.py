@@ -17,6 +17,7 @@ from tsdyn import (
     decompose,
     find_return_times,
     lift,
+    matriciant,
     mpps_report,
     solution_bound,
     verify_bound,
@@ -158,6 +159,19 @@ class TestVerifyStability:
         assert report.passed
         assert report.metrics["fitted_slope"] <= -cert5.decay_rate
         assert report.metrics["envelope_min_margin"] >= 0.0
+
+    def test_separation_is_the_homogeneous_solution(self, model5, cert5):
+        # over fifteen periods the separation falls to ~1e-16, where the
+        # difference of two forced trajectories would be round-off alone
+        rng = np.random.default_rng(33)
+        y0a = rng.uniform(-1.0, 1.0, 2)
+        y0b = rng.uniform(-1.0, 1.0, 2)
+        ts = model5.ts
+        for t0, horizon in ((1.0, 80.0), (0.5, 120.0)):
+            report = verify_stability(model5, cert5, y0a, y0b, t0, horizon, 1e-2)
+            exact = matriciant(model5, ts.psi(t0 + horizon), ts.psi(t0)) @ (y0a - y0b)
+            final = report.metrics["final_separation"]
+            assert final == pytest.approx(float(np.linalg.norm(exact)), rel=1e-8)
 
     def test_requires_long_horizon(self, model5, cert5):
         with pytest.raises(ValueError, match="five periods"):

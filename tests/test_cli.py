@@ -1,10 +1,11 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tsdyn import ConfigError, cli, errors
+from tsdyn import BoundedSolutionEvaluator, ConfigError, cli, errors, impulsive
 from tsdyn.cli import (
     EXIT_OK,
     EXIT_USAGE,
@@ -209,6 +210,46 @@ class TestSubcommands:
         t2, y2, _ = read_solution_csv(tmp_path / "theta2.csv")
         assert np.array_equal(t_full, t1) and np.array_equal(t_full, t2)
         assert np.max(np.linalg.norm(y_full - y1 - y2, axis=1)) < 2e-8
+
+    def test_example_matches_standalone_subcommands(self, tmp_path, example_raw):
+        # example shares one certificate, evaluator and return scan between its
+        # stages; each subcommand on a fresh config must write the same bytes
+        dir_a, dir_b = tmp_path / "a", tmp_path / "b"
+        assert run("example", parse_config(example_raw), dir_a) == EXIT_OK
+        for sub in ("check", "bounded", "decompose", "returns", "verify"):
+            assert run(sub, parse_config(example_raw), dir_b) == EXIT_OK
+        names = sorted(path.name for path in dir_a.iterdir())
+        assert names == sorted(path.name for path in dir_b.iterdir())
+        assert len(names) == 6
+        for name in names:
+            assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes(), name
+
+    def test_example_computes_each_stage_once(self, tmp_path, monkeypatch):
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(impulsive, "certify", counting("certify", impulsive.certify))
+        monkeypatch.setattr(
+            cli, "find_return_times", counting("find_return_times", cli.find_return_times)
+        )
+        monkeypatch.setattr(
+            BoundedSolutionEvaluator, "__init__",
+            counting("evaluator", BoundedSolutionEvaluator.__init__),
+        )
+        assert run("example", load_config(bundled_example_path()), tmp_path) == EXIT_OK
+        assert calls == {"certify": 1, "find_return_times": 1, "evaluator": 1}
+
+    def test_config_is_read_only(self):
+        cfg = load_config(bundled_example_path())
+        with pytest.raises(TypeError):
+            cfg.tolerances["eval_tol"] = 1e-3
+        with pytest.raises(TypeError):
+            cfg.windows["zeta_max"] = 10
 
     def test_unknown_subcommand(self, tmp_path):
         cfg = load_config(bundled_example_path())

@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -254,6 +256,24 @@ class TestBoundedSolution:
         ev = BoundedSolutionEvaluator(model5, cert5, tol=1e-8)
         sup_seq = model5.sequence.sup_norm(-2000, -2000).ceiling
         assert ev.sup_bound == solution_bound(cert5, ts5, model5.forcing.sup_norm(ts5), sup_seq)
+
+    def test_concurrent_evaluation_shares_the_memo(self, model5, cert5):
+        # more threads than cores and a short switch interval interleave the
+        # threads inside the segment memo; grids a whole period apart share
+        # partial lengths, so the threads hit and fill the same entries
+        grids = [np.linspace(-20.0, 20.0, 97) + 8.0 * i for i in range(4)]
+        expected = [BoundedSolutionEvaluator(model5, cert5, 1e-8).parts(g) for g in grids]
+        shared = BoundedSolutionEvaluator(model5, cert5, 1e-8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(shared.parts, g) for g in grids * 4]
+                results = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(results, expected * 4):
+            assert np.array_equal(got, want)
 
     def test_horizon_error_for_shallow_seed(self, ts5, forcing5):
         shallow = LogisticSequence(3.9, 0.4, k_min=-4, output_map=(1.0, 2.0))

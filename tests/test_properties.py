@@ -2,7 +2,8 @@
 transition matrices, and for the closed-form bounded-solution evaluator,
 batched and single-point evaluation agree, the value matches forward
 integration from deep in the past, the periodic component is
-stride-periodic, and the two components sum to the full solution.  The
+stride-periodic, the two components sum to the full solution, and the
+memo of segment exponentials changes no value and stays within its cap.  The
 blocked RK4 scan agrees with a plain per-step RK4 loop, stable or not, and
 the pruned return-time scan finds exactly the records of a full scan."""
 
@@ -30,7 +31,7 @@ from tsdyn import (
     matriciant,
     recurrence_defect,
 )
-from tsdyn import forcing
+from tsdyn import forcing, impulsive
 from tsdyn.impulsive import _rk4_segment
 
 # Deterministic example generation keeps the suite reproducible.
@@ -118,6 +119,45 @@ def test_components(model, s):
     assert np.max(np.abs(periodic - here)) <= 1e-12 * _scale(here)
     sequence = BoundedSolutionEvaluator(sequence_only, cert, TOL).values(s)
     assert np.max(np.abs(sequence - parts[:, 1])) <= TOL
+
+
+@settings(PROPERTY_SETTINGS, max_examples=15)
+@given(model=stable_models(), s=points, shift=st.integers(1, 3))
+def test_segment_memo_changes_no_value(model, s, shift):
+    # period-shifted points carry partial lengths a few ulps from the base
+    # points' own; a memo that matched them loosely would return other bits
+    cert = certify(model)
+    ts = model.ts
+    base = np.asarray(s)
+    shifted = base + shift * ts.period
+    k = ts.impulse_index_below(float(base[0]))
+    calls = [
+        ("parts", base), ("values", shifted), ("right_limit_parts", k),
+        ("parts", np.concatenate([shifted, base[::2]])), ("values", base),
+        ("right_limit_parts", k + shift), ("parts", shifted + ts.stride),
+        ("parts", base),
+    ]
+    shared = BoundedSolutionEvaluator(model, cert, TOL)
+    for name, arg in calls:
+        fresh = BoundedSolutionEvaluator(model, cert, TOL)
+        assert np.array_equal(getattr(shared, name)(arg), getattr(fresh, name)(arg)), name
+
+
+@settings(PROPERTY_SETTINGS, max_examples=5)
+@given(model=stable_models(), cap=st.integers(1, 8), extra=st.integers(1, 12))
+def test_segment_memo_stays_within_its_cap(model, cap, extra):
+    cert = certify(model)
+    assert BoundedSolutionEvaluator(model, cert, TOL)._segment.cache_info().maxsize == (
+        impulsive._SEGMENT_MEMO_SIZE
+    )
+    with mock.patch.object(impulsive, "_SEGMENT_MEMO_SIZE", cap):
+        ev = BoundedSolutionEvaluator(model, cert, TOL)
+    ts = model.ts
+    # distinct partial lengths inside one interval, fed one point at a time
+    s = ts.impulse_point(0) + ts.stride * np.linspace(0.05, 0.95, cap + extra)
+    single = np.array([ev.value(x) for x in s])
+    assert ev._segment.cache_info().currsize <= cap
+    assert np.array_equal(single, BoundedSolutionEvaluator(model, cert, TOL).values(s))
 
 
 @settings(PROPERTY_SETTINGS, max_examples=10)
