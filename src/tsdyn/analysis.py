@@ -19,10 +19,11 @@ from .dynamic import TimeScaleSolution, simulate_dynamic
 from .errors import TimeScaleDomainError
 from .forcing import ReturnTimeSet, TableSequence, TrigForcing
 from .impulsive import ImpulsiveModel, StabilityCert, solution_bound
-from .timescale import _BOUNDARY_RTOL, TimeScaleSpec, sample_index
+from .timescale import TimeScaleSpec, sample_index
 
 _SEPARATION_FLOOR = 1e-12
-_DEFAULT_SLACK = 0.10
+# Growth a recurrence supremum may show from one return to the next.
+_SLACK = 0.10
 _DEFAULT_EPS_FACTOR = 5.0
 _DEFAULT_EPS_OFFSET = 1e-6
 
@@ -71,15 +72,11 @@ def verify_periodic(
     Raises if the solution does not cover any shifted pair.
     """
     period = ts.period
-    deviations: list[float] = []
-    t = theta1.t
-    for i in range(t.size):
-        j = sample_index(t, t[i] + period)
-        if j is not None:
-            deviations.append(float(np.linalg.norm(theta1.y[j] - theta1.y[i])))
-    for k, v in theta1.endpoint_values.items():
-        if k + 1 in theta1.endpoint_values:
-            deviations.append(float(np.linalg.norm(theta1.endpoint_values[k + 1] - v)))
+    j = sample_index(theta1.t, theta1.t + period)
+    hit = j >= 0
+    deviations = np.linalg.norm(theta1.y[j[hit]] - theta1.y[hit], axis=1).tolist()
+    ends = theta1.endpoint_values
+    deviations += [float(np.linalg.norm(ends[k + 1] - ends[k])) for k in ends if k + 1 in ends]
     if not deviations:
         raise ValueError("solution does not cover any period-shifted grid pair")
     metric = max(deviations)
@@ -123,7 +120,6 @@ def verify_poisson(
     compact_hi: float,
     grid_step: float,
     eps: float | None = None,
-    slack: float = _DEFAULT_SLACK,
 ) -> VerificationReport:
     """Check recurrence of a solution along mined return times.
 
@@ -132,8 +128,8 @@ def verify_poisson(
     return shift.  For each return shift the supremum of
     ``||theta(t + period*zeta) - theta(t)||`` over the gridded compact
     window is computed.  The check passes when the sequence of suprema never
-    grows by more than the slack factor from one return to the next and the
-    final supremum falls below the threshold ``eps`` (default:
+    grows by more than the factor ``1 + _SLACK`` from one return to the next
+    and the final supremum falls below the threshold ``eps`` (default:
     ``5 * final_defect + 1e-6``, the empirically calibrated convolution-bound
     constant).
     """
@@ -150,7 +146,7 @@ def verify_poisson(
         if eps is not None
         else _DEFAULT_EPS_FACTOR * returns.entries[-1].defect + _DEFAULT_EPS_OFFSET
     )
-    monotone = all(sups[i + 1] <= (1.0 + slack) * sups[i] for i in range(len(sups) - 1))
+    monotone = all(sups[i + 1] <= (1.0 + _SLACK) * sups[i] for i in range(len(sups) - 1))
     final_ok = sups[-1] < eps_used
     metrics = {f"D_{i}": s for i, s in enumerate(sups)}
     metrics["final_sup_difference"] = sups[-1]
@@ -163,7 +159,7 @@ def verify_poisson(
             "defects": list(returns.defects),
             "eps": eps_used,
             "eps_rule": "given" if eps is not None else "5*final_defect+1e-6",
-            "slack": slack,
+            "slack": _SLACK,
             "compact": [compact_lo, compact_hi],
             "grid_step": grid_step,
             "grid_points": len(grid),
@@ -217,8 +213,9 @@ def verify_stability(
     directly, with the model's matrix and scale and no forcing, rather than
     as the difference of two forced marches that cancel down to round-off.
     The check fits the slope of the log separation against the collapsed
-    time ``psi(t)``, and checks both the fitted slope against the certified
-    decay rate and pointwise domination by the certificate envelope.
+    time, :meth:`TimeScaleSpec.psi` of the whole sample array, and checks
+    both the fitted slope against the certified decay rate and pointwise
+    domination by the certificate envelope.
     """
     ts = model.ts
     if horizon < 5.0 * ts.period:
@@ -239,20 +236,14 @@ def verify_stability(
     sol = simulate_dynamic(homogeneous, y0, t0, t_end, step)
 
     separation = np.linalg.norm(sol.y, axis=1)
-    # psi(t) = t - k*gap with k = ceil((t - anchor)/period) snapped down at
-    # right endpoints; the samples hold no left endpoint
-    u = (sol.t - ts.anchor) / ts.period
-    collapsed = sol.t - ts.gap * np.ceil(u - _BOUNDARY_RTOL * np.maximum(1.0, np.abs(u)))
+    collapsed = ts.psi(sol.t)  # the samples hold no left endpoint
     initial = float(np.linalg.norm(y0))
 
     envelope = cert.prefactor * initial * np.exp(-cert.decay_rate * (collapsed - s0))
     margin = envelope - separation
     for k, v in sol.endpoint_values.items():
-        sep = float(np.linalg.norm(v))
-        env = cert.prefactor * initial * math.exp(
-            -cert.decay_rate * (ts.impulse_point(k) - s0)
-        )
-        margin = np.append(margin, env - sep)
+        env = cert.prefactor * initial * math.exp(-cert.decay_rate * (ts.impulse_point(k) - s0))
+        margin = np.append(margin, env - float(np.linalg.norm(v)))
     envelope_ok = bool(np.all(margin >= -1e-12 * max(1.0, initial)))
 
     mask = separation > _SEPARATION_FLOOR

@@ -124,10 +124,13 @@ class ScenarioConfig:
     shared: read them, never change them.
     """
 
-    ts: TimeScaleSpec
     model: ImpulsiveModel
     tolerances: Mapping = field(default_factory=dict)
     windows: Mapping = field(default_factory=dict)
+
+    @property
+    def ts(self) -> TimeScaleSpec:
+        return self.model.ts
 
     @cached_property
     def assumptions(self) -> tuple[bool, dict]:
@@ -296,7 +299,7 @@ def parse_config(raw: dict) -> ScenarioConfig:
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError([f"model: {exc}"]) from exc
-    return ScenarioConfig(ts=ts, model=model, tolerances=tolerances, windows=windows)
+    return ScenarioConfig(model=model, tolerances=tolerances, windows=windows)
 
 
 def _apply_override(raw: dict, spec: str) -> None:

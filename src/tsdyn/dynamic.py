@@ -4,8 +4,8 @@ solution and its periodic/Poisson split pulled back through the psi
 substitution, and delta-derivative residuals.
 
 ``lift``, ``decompose`` and ``as_timescale_function`` share one path onto
-the scale: each point is located once, regular points are evaluated in one
-batch at ``psi(t)``, and left endpoints take the right limit of their jump.
+the scale: one ``locate`` call, one batch at ``psi(t)`` for the regular
+points, and the right limit of its jump at each left endpoint.
 
 A solution on the scale stores regular samples for points where psi is
 defined and keeps the values at left endpoints (where psi is undefined and
@@ -96,13 +96,9 @@ def simulate_dynamic(
     """Integrate the dynamic equation: the impulsive march read back on the scale.
 
     A point ``t`` of the scale is the pair ``(s, k)`` with ``t = s + k*gap``.
-    The fixed-step RK4 march of :func:`tsdyn.impulsive.integrate` runs from
-    the pair of ``t0`` to the pair of ``t_end``.  On each impulse-free segment
-    RK4 is evaluated as the affine recurrence ``y <- R y + c_n`` by a blocked
-    scan (Blelloch 1990), equal to a per-step loop up to round-off; the jump
-    ``y(next_left) = y(right) + gap * (A y(right) + f(right) + term_k)`` is
-    the exact discrete update at each right-scattered endpoint, and its
-    right limits become the values at left endpoints.  ``t0`` may be a left
+    The RK4-plus-jump march of :func:`tsdyn.impulsive.integrate` runs from
+    the pair of ``t0`` to the pair of ``t_end``, and the right limits of its
+    jumps become the values at left endpoints.  ``t0`` may be a left
     endpoint, in which case ``y0`` supplies the value there.
     """
     if step <= 0.0:
@@ -122,11 +118,9 @@ def simulate_dynamic(
 
     # a left endpoint is the right limit at the impulse before it; a right
     # endpoint must not round past its own impulse
-    if start == LEFT_ENDPOINT:
-        s0 = ts.impulse_point(k0 - 1)
-    else:
-        s0 = min(t0 - k0 * ts.gap, ts.impulse_point(k0))
-    s1 = ts.impulse_point(k1 - 1) if end == LEFT_ENDPOINT else t_end - k1 * ts.gap
+    s0 = (ts.impulse_point(k0 - 1) if start == LEFT_ENDPOINT
+          else min(ts.psi(t0), ts.impulse_point(k0)))
+    s1 = ts.impulse_point(k1 - 1) if end == LEFT_ENDPOINT else ts.psi(t_end)
     s, y, jumps = _march(model, y, s0, s1, k0, k1, step)
     endpoint_values = {jump.index: jump.after for jump in jumps}
     if start == LEFT_ENDPOINT:
@@ -143,23 +137,17 @@ def simulate_dynamic(
 
 
 def _on_scale(model: ImpulsiveModel, points, evaluate):
-    """Locate each point once; evaluate the regular points in one batch at
-    ``psi(t) = t - k*gap``.  Returns their positions, their values, and the
-    index of the jump before each left endpoint, keyed by its position."""
+    """Locate the points in one call and evaluate all but the left endpoints
+    in one batch at ``psi(t)``, which rejects points off the scale.  Returns
+    their positions, their values, and the index of the jump before each left
+    endpoint, keyed by its position."""
     ts = model.ts
-    regular: list[int] = []
-    collapsed: list[float] = []
-    jumps: dict[int, int] = {}
-    for i, t in enumerate(points):
-        k, code = ts.locate(t)
-        if code == GAP:
-            raise TimeScaleDomainError(f"t={t!r} is not in the time scale")
-        if code == LEFT_ENDPOINT:
-            jumps[i] = k - 1
-        else:
-            regular.append(i)
-            collapsed.append(t - k * ts.gap)
-    return regular, evaluate(collapsed), jumps
+    t = np.asarray(points, dtype=float)
+    k, code = ts.locate(t)
+    left = code == LEFT_ENDPOINT
+    regular = np.flatnonzero(~left)
+    jumps = dict(zip(np.flatnonzero(left).tolist(), (k[left] - 1).tolist()))
+    return regular, evaluate(ts.psi(t[regular])), jumps
 
 
 def lift(
@@ -174,13 +162,8 @@ def lift(
     """
     points = sorted(set(float(t) for t in t_grid))
     regular, y, jumps = _on_scale(model, points, evaluator.values)
-    return TimeScaleSolution(
-        ts=model.ts,
-        t=np.asarray(points)[regular],
-        y=y,
-        endpoint_values={k: evaluator.right_limit(k) for k in jumps.values()},
-        provenance="lifted",
-    )
+    ends = {k: evaluator.right_limit(k) for k in jumps.values()}
+    return TimeScaleSolution(model.ts, np.asarray(points)[regular], y, ends, "lifted")
 
 
 def decompose(
@@ -219,9 +202,8 @@ def as_timescale_function(
 
     def theta(t):
         points = np.asarray(t, dtype=float)
-        flat = points.reshape(-1).tolist()
-        regular, parts, jumps = _on_scale(model, flat, evaluator.parts)
-        out = np.empty((len(flat), 2, m))
+        regular, parts, jumps = _on_scale(model, points.reshape(-1), evaluator.parts)
+        out = np.empty((points.size, 2, m))
         out[regular] = parts
         for i, k in jumps.items():
             out[i] = evaluator.right_limit_parts(k)

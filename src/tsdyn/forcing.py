@@ -20,6 +20,9 @@ import numpy as np
 
 from .timescale import TimeScaleSpec
 
+# Uniform samples over one interval (or period) behind TrigForcing.sup_norm.
+_SUP_GRID = 8192
+
 
 # ----------------------------------------------------------------------
 # trigonometric forcing
@@ -143,16 +146,16 @@ class TrigForcing:
                 C[i, slot[h.n] + 1] += h.sin_coeff
         return C, W, z0
 
-    def sup_norm(self, ts: TimeScaleSpec | None = None, grid: int = 8192) -> float:
+    def sup_norm(self, ts: TimeScaleSpec | None = None) -> float:
         """Certified upper bound on the supremum of ``||value(t)||`` over one period.
 
         With a time-scale spec the maximization is restricted to the scale
         (one closed interval per period); otherwise the full period is used.
-        The squared norm ``q`` is sampled on a uniform grid of spacing ``h``
-        that contains both ends.  A maximizer is either a sampled end or a
-        zero of ``q'`` within ``h/2`` of a sample, where ``q`` lies at most
-        ``h^2/8 * sup|q''|`` below it, and ``|q''| <= 2 (D1^2 + D0 D2)`` with
-        ``Dk = derivative_bound(k)``.
+        The squared norm ``q`` is sampled on a uniform grid of ``_SUP_GRID``
+        nodes and spacing ``h`` that contains both ends.  A maximizer is
+        either a sampled end or a zero of ``q'`` within ``h/2`` of a sample,
+        where ``q`` lies at most ``h^2/8 * sup|q''|`` below it, and
+        ``|q''| <= 2 (D1^2 + D0 D2)`` with ``Dk = derivative_bound(k)``.
         """
         if ts is None:
             lo, hi = 0.0, self.period
@@ -160,9 +163,9 @@ class TrigForcing:
             if ts.period != self.period:
                 raise ValueError("time-scale period differs from forcing period")
             lo, hi = ts.endpoint(-1), ts.endpoint(0)
-        pts = np.linspace(lo, hi, grid)
+        pts = np.linspace(lo, hi, _SUP_GRID)
         peak = float(np.max(np.sum(self.value_many(pts) ** 2, axis=1)))
-        h = (hi - lo) / (grid - 1)
+        h = (hi - lo) / (_SUP_GRID - 1)
         d0, d1, d2 = (self.derivative_bound(k) for k in range(3))
         return math.sqrt(peak + h * h / 4.0 * (d1 * d1 + d0 * d2))
 
@@ -331,9 +334,6 @@ class TableSequence:
 
     def min_index(self) -> int:
         return min(self._table)
-
-    def max_index(self) -> int:
-        return max(self._table)
 
     def sup_norm(self, k_lo: int, k_hi: int) -> SupNormBound:
         observed = max(

@@ -8,14 +8,10 @@ collects the collapsed periodic forcing and the piecewise-constant sequence
 forcing; at each impulse moment the state jumps by
 ``gap * (A x + f(psi_inv(s_k)) + term_k)`` (:meth:`ImpulsiveModel.jump`).
 
-Forward integration is one RK4-plus-jump march.  ``integrate`` runs it on
-the line; ``dynamic.simulate_dynamic`` runs the same march and reads it back
-on the time scale, a point ``t`` of the scale being the pair ``(s, k)`` with
-``t = s + k * gap``.  On each impulse-free segment the fixed-step RK4
-recurrence is the affine map ``y <- R y + c_n``, evaluated by a blocked
-linear scan (Blelloch, "Prefix sums and their applications", 1990) rather
-than a loop over steps; results differ from a per-step loop only at
-round-off.
+Forward integration is one RK4-plus-jump march (``_march``), run on the
+line by ``integrate`` and read back on the time scale by
+``dynamic.simulate_dynamic``; ``_rk4_segment`` solves each impulse-free
+segment as a blocked linear scan (Blelloch 1990).
 
 Because every factor appearing in the transition matrix is a function of the
 single matrix ``A``, matrix exponentials and jump factors commute.  The
@@ -44,10 +40,18 @@ from .timescale import TimeScaleSpec, _edge_tol, _snapped_ceil, sample_index
 _DET_FLOOR = 1e-10
 _RADIUS_MARGIN = 1e-10
 _DECAY_SAFETY = 0.9
+# Nodes of the certificate's grid over gaps q in [0, 2 * stride].
+_CERT_GRID = 201
 # Segment exponentials one evaluator keeps: far more than the distinct partial
 # lengths of a CLI run (about 400 on the bundled scenario), few enough that
 # point-by-point evaluation over a long grid stays within a few MiB at m = 8.
 _SEGMENT_MEMO_SIZE = 4096
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a`` locked against writes: one array serves every caller."""
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,8 +69,7 @@ class ImpulsiveModel:
             raise ValueError(f"system matrix must be square, got shape {A.shape}")
         if not np.all(np.isfinite(A)):
             raise ValueError("system matrix must have finite entries")
-        A.setflags(write=False)
-        object.__setattr__(self, "matrix", A)
+        object.__setattr__(self, "matrix", _read_only(A))
         m = A.shape[0]
         if self.forcing.dimension != m:
             raise ValueError(
@@ -83,18 +86,21 @@ class ImpulsiveModel:
     def dimension(self) -> int:
         return self.matrix.shape[0]
 
-    @property
+    @cached_property
     def jump_factor(self) -> np.ndarray:
-        """Matrix ``I + gap * A`` applied by each impulse."""
-        return np.eye(self.dimension) + self.ts.gap * self.matrix
+        """Matrix ``I + gap * A`` applied by each impulse (read-only)."""
+        return _read_only(np.eye(self.dimension) + self.ts.gap * self.matrix)
+
+    @cached_property
+    def period_map(self) -> np.ndarray:
+        """One-period map ``expm(stride * A) @ (I + gap * A)`` (read-only)."""
+        return _read_only(matrixkit.expm(self.ts.stride * self.matrix) @ self.jump_factor)
 
     @cached_property
     def forcing_at_impulse(self) -> np.ndarray:
         """``f(psi_inv(s_k))``, the same for every ``k``: each ``psi_inv(s_k)``
         is a right endpoint, a whole number of periods from the anchor."""
-        f = self.forcing.value(self.ts.anchor)
-        f.setflags(write=False)
-        return f
+        return _read_only(self.forcing.value(self.ts.anchor))
 
     def jump(self, k: int, x) -> np.ndarray:
         """State right after impulse ``k`` from the state ``x`` at
@@ -125,11 +131,10 @@ def check_invertible_jump(model: ImpulsiveModel) -> AssumptionCheck:
 def check_contractive_period(model: ImpulsiveModel) -> AssumptionCheck:
     """Second assumption: the one-period transition matrix is a contraction.
 
-    The matrix is ``expm(stride * A) @ (I + gap*A)``; all its eigenvalues
+    The matrix is :attr:`ImpulsiveModel.period_map`; all its eigenvalues
     must lie strictly inside the unit circle.
     """
-    B = matrixkit.expm(model.ts.stride * model.matrix) @ model.jump_factor
-    radius = float(matrixkit.spectral_radius(B))
+    radius = float(matrixkit.spectral_radius(model.period_map))
     return AssumptionCheck(passed=bool(radius < 1.0 - _RADIUS_MARGIN), value=radius)
 
 
@@ -155,16 +160,16 @@ class StabilityCert:
             raise ValueError("certificate requires decay_rate > 0 and prefactor >= 1")
 
 
-def certify(model: ImpulsiveModel, grid_resolution: int = 201) -> StabilityCert:
+def certify(model: ImpulsiveModel) -> StabilityCert:
     """Produce a decay certificate from the spectral assumptions.
 
     The decay rate is ``0.9 * (-ln rho) / stride``.  The prefactor is built
-    from a grid maximum of ``||U(r+q, r)|| * exp(rate*q)`` over gaps ``q`` up
-    to two periods (the impulse count over a window of length ``q`` takes
-    only the two integer values bracketing ``q/stride``, so the supremum over
-    ``r`` is exact), a Lipschitz inflation covering off-grid gaps, and a
-    whole-period factor ``sup_j ||B^j|| exp(rate*j*stride)`` through which
-    transitions over longer gaps factor.
+    from a maximum of ``||U(r+q, r)|| * exp(rate*q)`` over ``_CERT_GRID``
+    gaps ``q`` up to two periods (the impulse count over a window of length
+    ``q`` takes only the two integer values bracketing ``q/stride``, so the
+    supremum over ``r`` is exact), a Lipschitz inflation covering off-grid
+    gaps, and a whole-period factor ``sup_j ||B^j|| exp(rate*j*stride)``
+    through which transitions over longer gaps factor.
     """
     a1 = check_invertible_jump(model)
     if not a1.passed:
@@ -174,31 +179,30 @@ def certify(model: ImpulsiveModel, grid_resolution: int = 201) -> StabilityCert:
         raise AssumptionError(
             f"period map is not a contraction (spectral radius = {a2.value:.10f})"
         )
-    if grid_resolution < 8:
-        raise ValueError("grid_resolution must be at least 8")
 
     A = model.matrix
     stride = model.ts.stride
     rho = a2.value
     rate = _DECAY_SAFETY * (-math.log(rho)) / stride
-    Q = model.jump_factor
+    # q <= 2 * stride crosses at most two impulses
+    Q_powers = [np.linalg.matrix_power(model.jump_factor, i) for i in range(3)]
 
-    qs = np.linspace(0.0, 2.0 * stride, grid_resolution)
+    qs = np.linspace(0.0, 2.0 * stride, _CERT_GRID)
     grid_max = 0.0
     for q in qs:
         E = matrixkit.expm(q * A)
         ratio = q / stride
         counts = {int(math.floor(ratio)), int(math.ceil(ratio))}
         for i in counts:
-            norm = matrixkit.spectral_norm(E @ np.linalg.matrix_power(Q, i))
+            norm = matrixkit.spectral_norm(E @ Q_powers[i])
             grid_max = max(grid_max, norm * math.exp(rate * q))
-    h = 2.0 * stride / (grid_resolution - 1)
+    h = 2.0 * stride / (_CERT_GRID - 1)
     a_norm = matrixkit.spectral_norm(A)
     grid_max *= math.exp((a_norm + rate) * h)
 
     # sup over j of ||B^j|| e^{rate*j*stride}; the summand decays like
     # rho^(0.1 j) asymptotically, so the running maximum freezes quickly.
-    B = matrixkit.expm(stride * A) @ Q
+    B = model.period_map
     growth = math.exp(rate * stride)
     power = np.eye(model.dimension)
     period_factor = 1.0
@@ -218,7 +222,7 @@ def certify(model: ImpulsiveModel, grid_resolution: int = 201) -> StabilityCert:
         floquet_radius=rho,
         decay_rate=rate,
         prefactor=prefactor,
-        grid_resolution=int(grid_resolution),
+        grid_resolution=_CERT_GRID,
     )
 
 
@@ -474,9 +478,7 @@ class BoundedSolutionEvaluator:
         @lru_cache(maxsize=_SEGMENT_MEMO_SIZE)
         def segment(length: float) -> np.ndarray:
             """Top block row ``[expm(A L), F(L), K(L)]`` of the augmented exponential."""
-            top = matrixkit.expm(length * generator)[:m].copy()
-            top.setflags(write=False)  # one array serves every caller
-            return top
+            return _read_only(matrixkit.expm(length * generator)[:m].copy())
 
         self._segment = segment
         whole = segment(ts.stride)
@@ -517,26 +519,22 @@ class BoundedSolutionEvaluator:
         ts = self.model.ts
         m = self.model.dimension
         s = np.asarray(s, dtype=float).reshape(-1)
-        k_hi = [ts.impulse_index_below(x) for x in s]
-        lengths, which = np.unique(
-            [x - ts.impulse_point(k) for x, k in zip(s, k_hi)], return_inverse=True
-        )
+        k_hi = ts.impulse_index_below(s)
+        lengths, which = np.unique(s - ts.impulse_point(k_hi), return_inverse=True)
         # the deepest gap covered starts at impulse_index_below(x - horizon),
         # so the dropped tail lies at distance >= horizon from x
-        depths = [k - ts.impulse_index_below(x - self.horizon) for x, k in zip(s, k_hi)]
-        weights = np.zeros((s.size, 2, self._generator.shape[0]))
+        depths = k_hi - ts.impulse_index_below(s - self.horizon)
+        keys, walk_of = np.unique(np.stack([k_hi, depths], axis=1), axis=0, return_inverse=True)
+        size = self._generator.shape[0]
+        walks = np.zeros((len(keys), size))
+        for row, (k, depth) in zip(walks, keys.tolist()):
+            row[:m], row[-m:] = self._gap_walk(k, depth)
+        weights = np.zeros((s.size, 2, size))
         weights[:, 0, :m] = self._periodic_head
         weights[:, 0, m:-m] = self._z0
-        walks: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-        for i, key in enumerate(zip(k_hi, depths)):
-            if key not in walks:
-                walks[key] = self._gap_walk(*key)
-            weights[i, 1, :m], weights[i, 1, -m:] = walks[key]
-        segments = [self._segment(L) for L in lengths]
-        out = np.empty((s.size, 2, m))
-        for i, j in enumerate(which):
-            out[i] = weights[i] @ segments[j].T
-        return out
+        weights[:, 1] = walks[walk_of.reshape(-1)]  # numpy 2.0.0 returns shape (n, 1)
+        segments = np.array([self._segment(L) for L in lengths]).reshape(-1, m, size)
+        return np.matmul(weights, segments[which].transpose(0, 2, 1))
 
     def right_limit(self, k: int) -> np.ndarray:
         """Right-limit value just after the impulse at ``impulse_point(k)``."""

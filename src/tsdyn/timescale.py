@@ -14,7 +14,8 @@ real line; the images of the right endpoints are the impulse moments
 
 All boundary classification uses a relative tolerance of 2**-40 so that
 floating-point noise cannot flip a point across an interval edge; a point
-within tolerance of an edge is treated as being exactly on the edge.
+within tolerance of an edge is treated as being exactly on the edge.  This
+module is the one home of that snap and of the psi formula.
 """
 
 from __future__ import annotations
@@ -31,33 +32,51 @@ from .errors import TimeScaleDomainError
 _BOUNDARY_RTOL = 2.0 ** -40
 _MAX_INDEX = 2 ** 52
 
-# Location codes returned by TimeScaleSpec.locate.
+# Location codes returned by TimeScaleSpec.locate, and their indices in _CODES.
 LEFT_ENDPOINT = "left_endpoint"
 INTERIOR = "interior"
 RIGHT_ENDPOINT = "right_endpoint"
 GAP = "gap"
+_CODES = np.array([LEFT_ENDPOINT, INTERIOR, RIGHT_ENDPOINT, GAP])
+_LEFT, _INTERIOR, _RIGHT, _GAP = range(4)
 
 
-def _edge_tol(t: float) -> float:
-    return _BOUNDARY_RTOL * max(1.0, abs(t))
+def _edge_tol(t):
+    return _BOUNDARY_RTOL * np.maximum(1.0, np.abs(t))
 
 
-def sample_index(grid: np.ndarray, t: float) -> int | None:
+def _scalar(x):
+    """A 0-d result as the Python scalar it holds; arrays pass through."""
+    return np.asarray(x).item() if np.ndim(x) == 0 else x
+
+
+def _checked_index(k):
+    """Whole numbers as int64 indices, elementwise; raises past 2**52."""
+    k = np.asarray(k, dtype=float)
+    outside = ~(np.abs(k) <= _MAX_INDEX)
+    if outside.any():
+        raise ValueError(f"index {k[outside].item(0)!r} exceeds the exact floating-point range")
+    return _scalar(k.astype(np.int64))
+
+
+def sample_index(grid: np.ndarray, t):
     """Index of the entry of the increasing ``grid`` that the boundary snap
-    treats as ``t`` itself, or None when no entry lies that close."""
-    idx = int(np.searchsorted(grid, t))
-    for i in (idx - 1, idx):
-        if 0 <= i < grid.size and abs(grid[i] - t) <= _edge_tol(t):
-            return i
-    return None
+    treats as ``t`` itself, elementwise.  A miss reads None for a scalar
+    ``t`` and -1 in an array."""
+    t = np.asarray(t, dtype=float)
+    idx = np.searchsorted(grid, t)
+    found = np.full(t.shape, -1)
+    for i in (idx, idx - 1) if grid.size else ():  # the lower neighbour wins
+        near = np.abs(grid.take(i, mode="clip") - t) <= _edge_tol(t)
+        found = np.where((0 <= i) & (i < grid.size) & near, i, found)
+    return found if found.ndim else (int(found) if found >= 0 else None)
 
 
-def _snapped_ceil(u: float) -> int:
+def _snapped_ceil(u):
     """ceil(u), treating values within tolerance of an integer as exact."""
-    r = round(u)
-    if abs(u - r) <= _BOUNDARY_RTOL * max(1.0, abs(u)):
-        return int(r)
-    return int(math.ceil(u))
+    u = np.asarray(u, dtype=float)
+    r = np.rint(u)
+    return _checked_index(np.where(np.abs(u - r) <= _edge_tol(u), r, np.ceil(u)))
 
 
 @dataclass(frozen=True)
@@ -96,6 +115,11 @@ class TimeScaleSpec:
       inside the half-open interval indexed by ``k = 0``.  Downstream index
       bookkeeping (``psi(0) == 0`` in particular) relies on it, so violating
       specs are rejected rather than re-anchored.
+
+    ``locate``, ``contains``, ``psi``, ``impulse_point`` and
+    ``impulse_index_below`` act elementwise on arrays; a scalar is the 0-d
+    case and returns a Python ``int``, ``float`` or ``str``.  Indices beyond
+    ``2**52`` raise, so ``k * period`` stays exact.
 
     Instances are immutable and every method is a pure function, so a spec
     may be shared freely across threads.
@@ -142,31 +166,43 @@ class TimeScaleSpec:
         j = (k + 1) // 2  # k = 2j - 1
         return self.anchor + self.gap + (j - 1) * self.period
 
-    def locate(self, t: float) -> tuple[int, str]:
-        """Classify ``t`` against the scale.
+    def locate(self, t):
+        """Classify ``t`` against the scale, elementwise.
 
         Returns ``(k, code)`` where ``code`` is one of ``LEFT_ENDPOINT``,
         ``INTERIOR``, ``RIGHT_ENDPOINT`` (``k`` indexes the containing
         interval ``[endpoint(2k-1), endpoint(2k)]``) or ``GAP`` (``k`` indexes
-        the interval immediately to the right of the hole).
+        the interval immediately to the right of the hole).  For an array
+        ``t`` these are an int array and an array of codes.
         """
-        if not math.isfinite(t):
-            raise ValueError(f"t must be finite, got {t!r}")
+        k, code = self._classify(t)
+        return k, _scalar(_CODES[code])
+
+    def _classify(self, t):
+        """``locate`` with each code given by its index in ``_CODES``."""
+        t = np.asarray(t, dtype=float)
+        finite = np.isfinite(t)
+        if not finite.all():
+            raise ValueError(f"t must be finite, got {t[~finite].item(0)!r}")
         tol = _edge_tol(t)
-        kc = math.floor((t - self.anchor) / self.period)
-        for k in (kc, kc + 1):
+        kc = np.floor((t - self.anchor) / self.period)
+        code = np.full(t.shape, _GAP, dtype=np.int8)
+        above = np.ones(t.shape, dtype=np.int8)  # k - kc
+        # Precedence: the interval at or below t, then the next; in each, the
+        # left edge, the right edge, the interior.  Writing the tests in
+        # reverse keeps the first that holds.
+        for offset in (1, 0):
+            k = kc + offset
             left = self.anchor + self.gap + (k - 1) * self.period
             right = self.anchor + k * self.period
-            if abs(t - left) <= tol:
-                return k, LEFT_ENDPOINT
-            if abs(t - right) <= tol:
-                return k, RIGHT_ENDPOINT
-            if left < t < right:
-                return k, INTERIOR
-        return kc + 1, GAP
+            for c, hit in ((_INTERIOR, (left < t) & (t < right)),
+                           (_RIGHT, np.abs(t - right) <= tol), (_LEFT, np.abs(t - left) <= tol)):
+                code[hit] = c
+                above[hit] = offset
+        return _checked_index(kc + above), code
 
-    def contains(self, t: float) -> bool:
-        """True iff ``t`` belongs to the time scale."""
+    def contains(self, t):
+        """True iff ``t`` belongs to the time scale, elementwise."""
         return self.locate(t)[1] != GAP
 
     # ------------------------------------------------------------------
@@ -199,21 +235,21 @@ class TimeScaleSpec:
     # ------------------------------------------------------------------
     # psi substitution
 
-    def psi(self, t: float) -> float:
+    def psi(self, t):
         """Collapse ``t`` onto the real line by removing the holes left of it.
 
         Defined for ``t`` in the scale minus its left endpoints, using the
         half-open membership ``endpoint(2k-1) < t <= endpoint(2k)``; the value
-        is ``t - k * gap``.  Left endpoints (where psi is undefined) raise.
+        is ``t - k * gap``, elementwise.  Left endpoints (where psi is
+        undefined) and points outside the scale raise.
         """
-        k, code = self.locate(t)
-        if code == GAP:
-            raise TimeScaleDomainError(f"t={t!r} is not in the time scale")
-        if code == LEFT_ENDPOINT:
-            raise TimeScaleDomainError(
-                f"psi is undefined at left endpoints (t={t!r} = endpoint({2 * k - 1}))"
-            )
-        return t - k * self.gap
+        t = np.asarray(t, dtype=float)
+        k, code = self._classify(t)
+        for bad, why in ((code == _GAP, "is not in the time scale"),
+                         (code == _LEFT, "is a left endpoint, where psi is undefined")):
+            if bad.any():
+                raise TimeScaleDomainError(f"t={t[bad].item(0)!r} {why}")
+        return _scalar(t - k * self.gap)
 
     def psi_inv(self, s: float) -> float:
         """Inverse of :meth:`psi`; defined on all of the real line.
@@ -224,17 +260,16 @@ class TimeScaleSpec:
         """
         if not math.isfinite(s):
             raise ValueError(f"s must be finite, got {s!r}")
-        k = _checked_index(_snapped_ceil((s - self.anchor) / self.stride))
-        return s + k * self.gap
+        return s + _snapped_ceil((s - self.anchor) / self.stride) * self.gap
 
     # ------------------------------------------------------------------
     # impulse moments
 
-    def impulse_point(self, k: int) -> float:
+    def impulse_point(self, k):
         """k-th impulse moment ``anchor + k * (period - gap)`` on the line."""
-        return self.anchor + _checked_index(k) * self.stride
+        return _scalar(self.anchor + _checked_index(k) * self.stride)
 
-    def impulse_index_below(self, s: float) -> int:
+    def impulse_index_below(self, s):
         """Largest ``k`` with ``impulse_point(k) < s`` (strict, snapped)."""
         return _checked_index(_snapped_ceil((s - self.anchor) / self.stride) - 1)
 
@@ -242,13 +277,4 @@ class TimeScaleSpec:
         """Number of impulse moments in the half-open interval ``[r, s)``."""
         if r > s:
             raise ValueError(f"requires r <= s, got r={r!r}, s={s!r}")
-        lo = _snapped_ceil((r - self.anchor) / self.stride)
-        hi = _snapped_ceil((s - self.anchor) / self.stride)
-        return hi - lo
-
-
-def _checked_index(k: int) -> int:
-    k = int(k)
-    if abs(k) > _MAX_INDEX:
-        raise ValueError(f"index {k} exceeds the exact floating-point range")
-    return k
+        return self.impulse_index_below(s) - self.impulse_index_below(r)

@@ -2,9 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsdyn import TimeScaleDomainError, TimeScaleSpec
-from tsdyn.timescale import GAP, INTERIOR, LEFT_ENDPOINT, RIGHT_ENDPOINT
+from tsdyn.timescale import (
+    GAP,
+    INTERIOR,
+    LEFT_ENDPOINT,
+    RIGHT_ENDPOINT,
+    _snapped_ceil,
+    sample_index,
+)
 
 
 def dyadic_scale_points(ts, rng, count, k_range=1000):
@@ -177,3 +186,111 @@ class TestImpulses:
         assert ts5.impulse_index_below(1.0) == -1   # strict
         assert ts5.impulse_index_below(1.0 + 1e-6) == 0
         assert ts5.impulse_index_below(6.0 - 1e-6) == 0
+
+
+# ----------------------------------------------------------------------
+# array forms
+
+
+def reference_locate(ts, t):
+    """Per-point classification written out with Python floats and ints."""
+    tol = 2.0 ** -40 * max(1.0, abs(t))
+    kc = math.floor((t - ts.anchor) / ts.period)
+    for k in (kc, kc + 1):
+        left = ts.anchor + ts.gap + (k - 1) * ts.period
+        right = ts.anchor + k * ts.period
+        if abs(t - left) <= tol:
+            return k, LEFT_ENDPOINT
+        if abs(t - right) <= tol:
+            return k, RIGHT_ENDPOINT
+        if left < t < right:
+            return k, INTERIOR
+    return kc + 1, GAP
+
+
+def reference_sample_index(grid, t):
+    """Per-point snapped lookup: the lower of two snapped neighbours wins."""
+    idx = int(np.searchsorted(grid, t))
+    for i in (idx - 1, idx):
+        if 0 <= i < grid.size and abs(grid[i] - t) <= 2.0 ** -40 * max(1.0, abs(t)):
+            return i
+    return None
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@st.composite
+def scales_and_points(draw):
+    """A random valid scale and points on its edges, within one ulp and
+    3e-12 relative of them, in its holes and anywhere in between."""
+    period = draw(st.floats(0.5, 50.0))
+    gap = draw(st.floats(0.02, 0.98)) * period
+    anchor = draw(st.floats(0.0, 0.99)) * (period - gap)
+    ts = TimeScaleSpec(anchor=anchor, period=period, gap=gap)
+    ks = np.array(draw(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=8)))
+    edges = np.concatenate([
+        ts.anchor + ks * ts.period,                  # right endpoints
+        ts.anchor + ts.gap + (ks - 1) * ts.period,   # left endpoints
+        ts.impulse_point(ks),
+    ])
+    rel = 3e-12 * np.maximum(1.0, np.abs(edges))
+    points = np.concatenate([
+        edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
+        edges + rel, edges - rel, edges * (1.0 + 3e-12), edges * (1.0 - 3e-12),
+        ts.anchor + ks * ts.period + ts.gap / 2.0,   # holes
+        np.array(draw(st.lists(st.floats(-1e6, 1e6), max_size=16))),
+    ])
+    return ts, points
+
+
+class TestArrayForms:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(scales_and_points())
+    def test_array_forms_match_scalar_forms(self, case):
+        ts, t = case
+        k, code = ts.locate(t)
+        assert k.dtype == np.int64 and k.shape == code.shape == t.shape
+        below = ts.impulse_index_below(t)
+        regular = (code != GAP) & (code != LEFT_ENDPOINT)
+        collapsed = ts.psi(t[regular])
+        scalar_psi = []
+        for i, x in enumerate(t.tolist()):
+            ki, ci = ts.locate(x)
+            assert type(ki) is int and type(ci) is str
+            assert (ki, ci) == (k[i], code[i]) == reference_locate(ts, x)
+            assert type(ts.contains(x)) is bool
+            bi = ts.impulse_index_below(x)
+            assert type(bi) is int and bi == below[i]
+            point = ts.impulse_point(bi)
+            assert type(point) is float and same_bits(point, ts.impulse_point(below)[i])
+            if regular[i]:
+                scalar_psi.append(ts.psi(x))
+                assert type(scalar_psi[-1]) is float
+        assert same_bits(collapsed, scalar_psi)
+        u = (t - ts.anchor) / ts.stride
+        assert _snapped_ceil(u).tolist() == [_snapped_ceil(x) for x in u.tolist()]
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(scales_and_points())
+    def test_sample_index_array_matches_scalar(self, case):
+        _, t = case
+        grid = np.unique(t)  # holds edges next to points within their snap
+        queries = np.concatenate([t, t + 0.25])
+        found = sample_index(grid, queries)
+        assert found.dtype.kind == "i" and found.shape == queries.shape
+        for i, x in enumerate(queries.tolist()):
+            j = sample_index(grid, x)
+            assert j == reference_sample_index(grid, x)
+            assert (j is None and found[i] == -1) or (type(j) is int and j == found[i])
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(scales_and_points(), st.integers(-1000, 1000))
+    def test_array_psi_rejects_left_endpoints_and_holes(self, case, k):
+        ts, _ = case
+        inside = ts.endpoint(2 * k) - ts.stride / 2.0
+        for bad in (ts.endpoint(2 * k - 1), ts.endpoint(2 * k) + ts.gap / 2.0):
+            with pytest.raises(TimeScaleDomainError):
+                ts.psi(np.array([inside, bad, inside]))
