@@ -66,6 +66,7 @@ from array import array
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from importlib import resources
+from numbers import Real
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
@@ -92,24 +93,50 @@ EXIT_USAGE = 2
 
 _CSV_CHUNK_ROWS = 4096
 
-_TOLERANCE_DEFAULTS = {
-    "eval_tol": 1e-8,
-    "period_tol": 1e-6,
-    "poisson_eps": None,
-    "grid_step": 0.05,
-    "rk_step": 1e-3,
+
+def _real(v) -> float:
+    """A finite number, not a bool, as a float."""
+    if isinstance(v, bool) or not isinstance(v, Real) or not math.isfinite(v):
+        raise ValueError("must be a finite number")
+    return float(v)
+
+
+def _integer(v) -> int:
+    """A number with a whole value, not a bool, as an int."""
+    if isinstance(v, bool) or not isinstance(v, Real) or not float(v).is_integer():
+        raise ValueError("must be an integer")
+    return int(v)
+
+
+def _vector(convert, length=None):
+    """A list converted entry by entry into a tuple; ``length`` pins its size."""
+    def converted(v):
+        if not isinstance(v, (list, tuple)) or length not in (None, len(v)):
+            raise ValueError("must be a list" + (f" of {length} numbers" if length else ""))
+        return tuple(map(convert, v))
+    return converted
+
+
+# The converter and the default of each tolerance and window; a field whose
+# default is None may be left out or null.
+_TOLERANCES = {
+    "eval_tol": (_real, 1e-8),
+    "period_tol": (_real, 1e-6),
+    "poisson_eps": (_real, None),
+    "grid_step": (_real, 0.05),
+    "rk_step": (_real, 1e-3),
 }
-_WINDOW_DEFAULTS = {
-    "t0": None,
-    "t_end": None,
-    "compact_lo": None,
-    "compact_hi": None,
-    "return_window": None,
-    "zeta_max": 100_000,
-    "max_returns": 3,
-    "stability_periods": 10,
-    "stability_seed": 2023,
-    "initial": None,
+_WINDOWS = {
+    "t0": (_real, None),
+    "t_end": (_real, None),
+    "compact_lo": (_real, None),
+    "compact_hi": (_real, None),
+    "return_window": (_vector(_integer, 2), None),
+    "zeta_max": (_integer, 100_000),
+    "max_returns": (_integer, 3),
+    "stability_periods": (_real, 10.0),
+    "stability_seed": (_integer, 2023),
+    "initial": (_vector(_real), None),
 }
 
 
@@ -160,10 +187,7 @@ class ScenarioConfig:
         """Return times mined over an integer index window, one scan per window."""
         if window not in self._return_sets:
             self._return_sets[window] = find_return_times(
-                self.model.sequence,
-                window,
-                int(self.windows["zeta_max"]),
-                int(self.windows["max_returns"]),
+                self.model.sequence, window, self.windows["zeta_max"], self.windows["max_returns"]
             )
         return self._return_sets[window]
 
@@ -264,12 +288,19 @@ def _build_sequence(raw, issues):
     return None
 
 
-def _merged_defaults(raw, defaults, name, issues) -> Mapping:
+def _converted(raw, fields, name, issues) -> Mapping:
+    """One config section with its defaults filled in, each value converted
+    once; a value that does not convert is an issue naming its field."""
     raw = _require_mapping(raw, name, issues) if raw is not None else {}
-    _reject_unknown(raw, defaults, name, issues)
-    merged = dict(defaults)
-    merged.update(raw)
-    return MappingProxyType(merged)  # a config's kept stages must not go stale
+    _reject_unknown(raw, fields, name, issues)
+    section = {}
+    for key, (convert, default) in fields.items():
+        value = raw.get(key, default)
+        try:
+            section[key] = value if value is None and default is None else convert(value)
+        except (ValueError, OverflowError) as exc:
+            issues.append(f"{name}.{key} {exc}, got {value!r}")
+    return MappingProxyType(section)  # a config's kept stages must not go stale
 
 
 def parse_config(raw: dict) -> ScenarioConfig:
@@ -289,8 +320,8 @@ def parse_config(raw: dict) -> ScenarioConfig:
     sequence = _build_sequence(raw.get("gamma", {}), issues)
     if ts is not None:
         forcing = _build_forcing(raw.get("forcing", []), ts.period, issues)
-    tolerances = _merged_defaults(raw.get("tolerances"), _TOLERANCE_DEFAULTS, "tolerances", issues)
-    windows = _merged_defaults(raw.get("windows"), _WINDOW_DEFAULTS, "windows", issues)
+    tolerances = _converted(raw.get("tolerances"), _TOLERANCES, "tolerances", issues)
+    windows = _converted(raw.get("windows"), _WINDOWS, "windows", issues)
     if issues:
         raise ConfigError(issues)
     try:
@@ -299,6 +330,8 @@ def parse_config(raw: dict) -> ScenarioConfig:
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError([f"model: {exc}"]) from exc
+    if windows["initial"] is not None and len(windows["initial"]) != model.dimension:
+        raise ConfigError([f"windows.initial must have length {model.dimension}"])
     return ScenarioConfig(model=model, tolerances=tolerances, windows=windows)
 
 
@@ -402,34 +435,25 @@ def _cmd_check(cfg: ScenarioConfig, out: Path) -> int:
     return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
 
 
-def _initial_state(cfg: ScenarioConfig) -> np.ndarray:
-    initial = cfg.windows.get("initial")
-    if initial is None:
-        return np.zeros(cfg.model.dimension)
-    arr = np.asarray(initial, dtype=float)
-    if arr.shape != (cfg.model.dimension,):
-        raise ConfigError([f"windows.initial must have length {cfg.model.dimension}"])
-    return arr
-
-
-def _sim_window(cfg: ScenarioConfig) -> tuple[float, float]:
-    t0, t_end = cfg.windows.get("t0"), cfg.windows.get("t_end")
-    if t0 is None or t_end is None:
-        raise ConfigError(["windows.t0 and windows.t_end are required"])
-    return float(t0), float(t_end)
+def _required(cfg: ScenarioConfig, *names: str) -> list:
+    """The windows a subcommand reads; a config may leave out the others."""
+    values = [cfg.windows[name] for name in names]
+    if None in values:
+        raise ConfigError([" and ".join(f"windows.{name}" for name in names) + " are required"])
+    return values
 
 
 def _cmd_simulate(cfg: ScenarioConfig, out: Path) -> int:
-    t0, t_end = _sim_window(cfg)
-    sol = dynamic.simulate_dynamic(
-        cfg.model, _initial_state(cfg), t0, t_end, cfg.tolerances["rk_step"]
-    )
+    t0, t_end = _required(cfg, "t0", "t_end")
+    initial = cfg.windows["initial"]
+    y0 = np.zeros(cfg.model.dimension) if initial is None else initial
+    sol = dynamic.simulate_dynamic(cfg.model, y0, t0, t_end, cfg.tolerances["rk_step"])
     write_solution_csv(out / "trajectory.csv", sol)
     return EXIT_OK
 
 
 def _scenario_grid(cfg: ScenarioConfig) -> list[float]:
-    t0, t_end = _sim_window(cfg)
+    t0, t_end = _required(cfg, "t0", "t_end")
     return analysis.compact_grid(cfg.ts, t0, t_end, cfg.tolerances["grid_step"])
 
 
@@ -451,19 +475,15 @@ def _mine_returns(cfg: ScenarioConfig, padded: bool = False) -> ReturnTimeSet:
     if window is None:
         # default: the interval indices spanned by the compact window, padded
         # on both sides by the decay-based depth when asked
-        lo_t, hi_t = cfg.windows.get("compact_lo"), cfg.windows.get("compact_hi")
-        if lo_t is None or hi_t is None:
-            raise ConfigError(
-                ["windows.return_window or windows.compact_lo/compact_hi are required"]
-            )
-        lo = math.floor((float(lo_t) - cfg.ts.anchor) / cfg.ts.period)
-        hi = math.ceil((float(hi_t) - cfg.ts.anchor) / cfg.ts.period)
+        lo_t, hi_t = _required(cfg, "compact_lo", "compact_hi")
+        lo = math.floor((lo_t - cfg.ts.anchor) / cfg.ts.period)
+        hi = math.ceil((hi_t - cfg.ts.anchor) / cfg.ts.period)
         pad = 0
         if padded:
             sup_seq = impulsive._sequence_ceiling(cfg.model.sequence)
             pad = analysis._window_padding(cfg.certificate, cfg.ts, sup_seq, 1e-3)
         window = (lo - pad, hi + pad)
-    return cfg.return_set((int(window[0]), int(window[1])))
+    return cfg.return_set(window)
 
 
 def _cmd_returns(cfg: ScenarioConfig, out: Path) -> int:
@@ -481,11 +501,7 @@ def _cmd_verify(cfg: ScenarioConfig, out: Path) -> int:
         return EXIT_VERIFICATION_FAILED
     cert = cfg.certificate
 
-    lo = cfg.windows.get("compact_lo")
-    hi = cfg.windows.get("compact_hi")
-    if lo is None or hi is None:
-        raise ConfigError(["windows.compact_lo and windows.compact_hi are required"])
-    lo, hi = float(lo), float(hi)
+    lo, hi = _required(cfg, "compact_lo", "compact_hi")
     grid_step = cfg.tolerances["grid_step"]
     grid = analysis.compact_grid(ts, lo, hi, grid_step)
     shifted = analysis.compact_grid(ts, lo + ts.period, hi + ts.period, grid_step)
@@ -519,11 +535,11 @@ def _cmd_verify(cfg: ScenarioConfig, out: Path) -> int:
     sup_seq = impulsive._sequence_ceiling(model.sequence)
     report_bound = analysis.verify_bound(theta, cert, sup_f, sup_seq)
 
-    rng = np.random.default_rng(int(cfg.windows["stability_seed"]))
+    rng = np.random.default_rng(cfg.windows["stability_seed"])
     y0a = rng.uniform(-1.0, 1.0, model.dimension)
     y0b = rng.uniform(-1.0, 1.0, model.dimension)
     t0_stab = ts.anchor  # right endpoint of interval 0: inside the psi domain
-    horizon = float(cfg.windows["stability_periods"]) * ts.period
+    horizon = cfg.windows["stability_periods"] * ts.period
     report_stability = analysis.verify_stability(
         model, cert, y0a, y0b, t0_stab, horizon, cfg.tolerances["rk_step"]
     )

@@ -4,8 +4,9 @@ solution and its periodic/Poisson split pulled back through the psi
 substitution, and delta-derivative residuals.
 
 ``lift``, ``decompose`` and ``as_timescale_function`` share one path onto
-the scale: one ``locate`` call, one batch at ``psi(t)`` for the regular
-points, and the right limit of its jump at each left endpoint.
+the scale: one ``locate`` call and one evaluator batch, a regular point at
+``psi(t)`` and a left endpoint at the impulse before it, whose row then
+takes the jump (:meth:`ImpulsiveModel.jump`) to give the right limit.
 
 A solution on the scale stores regular samples for points where psi is
 defined and keeps the values at left endpoints (where psi is undefined and
@@ -27,7 +28,6 @@ from .timescale import (
     LEFT_ENDPOINT,
     RIGHT_ENDPOINT,
     TimeScaleSpec,
-    _edge_tol,
     sample_index,
 )
 
@@ -137,17 +137,29 @@ def simulate_dynamic(
 
 
 def _on_scale(model: ImpulsiveModel, points, evaluate):
-    """Locate the points in one call and evaluate all but the left endpoints
-    in one batch at ``psi(t)``, which rejects points off the scale.  Returns
-    their positions, their values, and the index of the jump before each left
-    endpoint, keyed by its position."""
+    """``evaluate`` at points of the scale in one batch, elementwise: a regular
+    point at ``psi(t)``, which rejects points off the scale, and a left endpoint
+    at the impulse before it, then jumped to its right limit.  Also returns,
+    over the flattened points, the left-endpoint mask and the impulse before
+    each point."""
     ts = model.ts
-    t = np.asarray(points, dtype=float)
+    t = np.asarray(points, dtype=float).reshape(-1)
     k, code = ts.locate(t)
     left = code == LEFT_ENDPOINT
-    regular = np.flatnonzero(~left)
-    jumps = dict(zip(np.flatnonzero(left).tolist(), (k[left] - 1).tolist()))
-    return regular, evaluate(ts.psi(t[regular])), jumps
+    s = np.empty(t.shape)
+    s[~left] = ts.psi(t[~left])
+    s[left] = ts.impulse_point(k[left] - 1)
+    values = evaluate(s)
+    for i, j in zip(np.flatnonzero(left).tolist(), (k[left] - 1).tolist()):
+        values[i] = model.jump(j, values[i])
+    return values.reshape(np.shape(points) + values.shape[1:]), left, k - 1
+
+
+def _lifted(model: ImpulsiveModel, t: np.ndarray, y, left, jumps) -> TimeScaleSolution:
+    """A lifted solution from ``_on_scale`` values at the points ``t``: the
+    values at left endpoints go to the endpoint map, keyed by their jump."""
+    ends = dict(zip(jumps[left].tolist(), y[left]))
+    return TimeScaleSolution(model.ts, t[~left], y[~left], ends, "lifted")
 
 
 def lift(
@@ -155,15 +167,10 @@ def lift(
     evaluator: BoundedSolutionEvaluator,
     t_grid: Sequence[float],
 ) -> TimeScaleSolution:
-    """The bounded solution on a grid of the time scale.
-
-    Regular grid points map through psi and are evaluated in one batch; at
-    a left endpoint the value is the right limit after the jump.
-    """
-    points = sorted(set(float(t) for t in t_grid))
-    regular, y, jumps = _on_scale(model, points, evaluator.values)
-    ends = {k: evaluator.right_limit(k) for k in jumps.values()}
-    return TimeScaleSolution(model.ts, np.asarray(points)[regular], y, ends, "lifted")
+    """The bounded solution on a grid of the time scale, from one batched
+    :meth:`BoundedSolutionEvaluator.value` call."""
+    t = np.array(sorted(set(float(t) for t in t_grid)))
+    return _lifted(model, t, *_on_scale(model, t, evaluator.value))
 
 
 def decompose(
@@ -177,14 +184,9 @@ def decompose(
     left endpoint each part takes its own share of the jump.  The two parts
     sum to the lift of the full bounded solution up to round-off.
     """
-    points = sorted(set(float(t) for t in t_grid))
-    regular, y, jumps = _on_scale(model, points, evaluator.parts)
-    t = np.asarray(points)[regular]
-    ends = {k: evaluator.right_limit_parts(k) for k in jumps.values()}
-    return tuple(
-        TimeScaleSolution(model.ts, t, y[:, i], {k: v[i] for k, v in ends.items()}, "lifted")
-        for i in (0, 1)
-    )
+    t = np.array(sorted(set(float(t) for t in t_grid)))
+    parts, left, jumps = _on_scale(model, t, evaluator.parts)
+    return tuple(_lifted(model, t, parts[:, i], left, jumps) for i in (0, 1))
 
 
 def as_timescale_function(
@@ -194,22 +196,9 @@ def as_timescale_function(
 
     The function takes one point or an array of points and returns the
     parts ``[periodic, sequence]`` with shape ``points.shape + (2, m)``;
-    summing over the parts axis gives the full bounded solution.  Regular
-    points go through psi in one batched evaluation; left endpoints return
-    the parts of the jump right limit.
+    summing over the parts axis gives the full bounded solution.
     """
-    m = model.dimension
-
-    def theta(t):
-        points = np.asarray(t, dtype=float)
-        regular, parts, jumps = _on_scale(model, points.reshape(-1), evaluator.parts)
-        out = np.empty((points.size, 2, m))
-        out[regular] = parts
-        for i, k in jumps.items():
-            out[i] = evaluator.right_limit_parts(k)
-        return out.reshape(points.shape + (2, m))
-
-    return theta
+    return lambda t: _on_scale(model, t, evaluator.parts)[0]
 
 
 def delta_residual(model: ImpulsiveModel, sol: TimeScaleSolution, t: float) -> float:
@@ -231,13 +220,14 @@ def delta_residual(model: ImpulsiveModel, sol: TimeScaleSolution, t: float) -> f
         y_next = sol.value(ts.endpoint(2 * k + 1))
         quotient = (y_next - y_t) / ts.gap
         return float(np.linalg.norm(quotient - rhs))
-    idx = int(np.searchsorted(sol.t, t, side="right"))
-    while idx < sol.t.size and abs(sol.t[idx] - t) <= _edge_tol(t):
-        idx += 1  # skip samples the abscissa snap treats as t itself
+    # the sample after t's own; a left endpoint keeps its value in the
+    # endpoint map, so its neighbour is the first sample above it
+    i = sample_index(sol.t, t)
+    idx = int(np.searchsorted(sol.t, t)) if i is None else i + 1
     if idx >= sol.t.size:
         raise MissingSampleError(f"no forward neighbor stored after t={t!r}")
     t_next = float(sol.t[idx])
-    if t_next > ts.endpoint(2 * k) + _edge_tol(t_next):
+    if ts.locate(t_next)[0] != k:
         raise MissingSampleError(
             f"forward neighbor of t={t!r} falls outside its interval"
         )

@@ -432,7 +432,9 @@ class BoundedSolutionEvaluator:
 
     :meth:`parts` returns the periodic component and the sequence-driven
     component side by side, both from the same segment exponential;
-    :meth:`values` is their sum, the full bounded solution.
+    :meth:`value` is their sum, the full bounded solution.  Both act
+    elementwise, a scalar being the 0-d case.  At the left endpoint after
+    impulse ``k`` the solution is ``model.jump(k, value(impulse_point(k)))``.
 
     The points of one run share few partial lengths: callers evaluate the
     same grids more than once, and a grid repeats its lengths from one
@@ -498,17 +500,14 @@ class BoundedSolutionEvaluator:
 
     # -- public API ----------------------------------------------------
 
-    def value(self, s: float) -> np.ndarray:
-        """Bounded-solution value at ``s`` (left limit at impulse moments)."""
-        return self.values([s])[0]
-
-    def values(self, s) -> np.ndarray:
-        """Bounded-solution values at a 1-d array of points, shape ``(n, m)``."""
-        return self.parts(s).sum(axis=1)
+    def value(self, s) -> np.ndarray:
+        """Bounded-solution values at ``s``, elementwise, shape
+        ``np.shape(s) + (m,)`` (left limits at impulse moments)."""
+        return self.parts(s).sum(axis=-2)
 
     def parts(self, s) -> np.ndarray:
-        """Periodic and sequence-driven parts at a 1-d array of points, shape
-        ``(n, 2, m)`` with rows ``[periodic, sequence]``.
+        """Periodic and sequence-driven parts at ``s``, elementwise, shape
+        ``np.shape(s) + (2, m)`` with rows ``[periodic, sequence]``.
 
         Both rows come from one segment exponential, weighted by
         ``[head, z0, 0]`` and by ``[walk over the gaps, 0, term]``.  Points
@@ -518,6 +517,7 @@ class BoundedSolutionEvaluator:
         """
         ts = self.model.ts
         m = self.model.dimension
+        shape = np.shape(s)
         s = np.asarray(s, dtype=float).reshape(-1)
         k_hi = ts.impulse_index_below(s)
         lengths, which = np.unique(s - ts.impulse_point(k_hi), return_inverse=True)
@@ -534,15 +534,8 @@ class BoundedSolutionEvaluator:
         weights[:, 0, m:-m] = self._z0
         weights[:, 1] = walks[walk_of.reshape(-1)]  # numpy 2.0.0 returns shape (n, 1)
         segments = np.array([self._segment(L) for L in lengths]).reshape(-1, m, size)
-        return np.matmul(weights, segments[which].transpose(0, 2, 1))
-
-    def right_limit(self, k: int) -> np.ndarray:
-        """Right-limit value just after the impulse at ``impulse_point(k)``."""
-        return self.model.jump(k, self.value(self.model.ts.impulse_point(k)))
-
-    def right_limit_parts(self, k: int) -> np.ndarray:
-        """Right limits of the two parts after impulse ``k``, shape ``(2, m)``."""
-        return self.model.jump(k, self.parts([self.model.ts.impulse_point(k)])[0])
+        parts = np.matmul(weights, segments[which].transpose(0, 2, 1))
+        return parts.reshape(shape + (2, m))
 
     # -- internals -----------------------------------------------------
 

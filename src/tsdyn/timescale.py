@@ -277,4 +277,5 @@ class TimeScaleSpec:
         """Number of impulse moments in the half-open interval ``[r, s)``."""
         if r > s:
             raise ValueError(f"requires r <= s, got r={r!r}, s={s!r}")
-        return self.impulse_index_below(s) - self.impulse_index_below(r)
+        below = self.impulse_index_below(np.array([r, s]))
+        return int(below[1] - below[0])

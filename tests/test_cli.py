@@ -296,6 +296,47 @@ class TestMain:
         assert code == EXIT_USAGE
         assert json.loads(capsys.readouterr().err.strip())["error"] == error
 
+    @pytest.mark.parametrize("subcommand", sorted(cli._SUBCOMMANDS))
+    @pytest.mark.parametrize(
+        "override",
+        ['tolerances.grid_step="abc"', "windows.zeta_max=null", "windows.max_returns=[1]",
+         "windows.stability_periods=null"],
+    )
+    def test_mistyped_value_exits_usage(self, tmp_path, capsys, example_file, override,
+                                        subcommand):
+        # each value is converted once, when the config is read, so a
+        # mistyped one fails every subcommand alike and names its field
+        code = main([
+            subcommand, "--config", str(example_file), "--out", str(tmp_path),
+            "--override", override,
+        ])
+        assert code == EXIT_USAGE
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError"
+        assert override.split("=")[0] in record["message"]
+
+    def test_config_values_are_converted_once(self, example_raw):
+        example_raw["windows"].update(zeta_max=1e5, return_window=[0.0, 20], stability_periods=10)
+        example_raw["tolerances"]["grid_step"] = 1
+        cfg = parse_config(example_raw)
+        assert cfg.windows["zeta_max"] == 100_000 and type(cfg.windows["zeta_max"]) is int
+        assert cfg.windows["return_window"] == (0, 20)
+        assert type(cfg.windows["stability_periods"]) is float
+        assert type(cfg.tolerances["grid_step"]) is float
+        assert cfg.windows["initial"] == (0.0, 0.0)
+        example_raw["windows"]["zeta_max"] = 2.5
+        example_raw["tolerances"]["rk_step"] = True
+        with pytest.raises(ConfigError) as err:
+            parse_config(example_raw)
+        assert len(err.value.issues) == 2
+
+    def test_required_windows_stay_lazy(self, tmp_path, example_raw):
+        del example_raw["windows"]["t0"]
+        cfg = parse_config(example_raw)
+        assert run("check", cfg, tmp_path) == EXIT_OK
+        with pytest.raises(ConfigError, match="t0"):
+            run("simulate", cfg, tmp_path)
+
     def test_deterministic_outputs(self, tmp_path, example_raw):
         example_raw["windows"]["t_end"] = 9.0
         example_raw["tolerances"]["grid_step"] = 0.5

@@ -174,13 +174,17 @@ class TestLift:
         with pytest.raises(TimeScaleDomainError):
             lift(model5, ev, [2.5])
 
-    def test_as_timescale_function(self, model5, cert5):
+    def test_as_timescale_function(self, model5, cert5, ts5):
         ev = BoundedSolutionEvaluator(model5, cert5, tol=1e-9)
         theta = as_timescale_function(model5, ev)
-        assert np.array_equal(theta(9.0), ev.parts([6.0])[0])
+        assert np.array_equal(theta(9.0), ev.parts(6.0))
         assert np.array_equal(theta(9.0).sum(axis=0), ev.value(6.0))
-        assert np.array_equal(theta(4.0), ev.right_limit_parts(0))
-        assert np.allclose(theta(4.0).sum(axis=0), ev.right_limit(0), rtol=0.0, atol=1e-14)
+        # the left endpoint 4 takes the right limit after impulse 0 at s_0 = 1
+        s0 = ts5.impulse_point(0)
+        assert np.array_equal(theta(4.0), model5.jump(0, ev.parts(s0)))
+        assert np.allclose(
+            theta(4.0).sum(axis=0), model5.jump(0, ev.value(s0)), rtol=0.0, atol=1e-14
+        )
         batch = theta(np.array([[9.0, 4.0], [0.0, 9.0]]))
         assert batch.shape == (2, 2, 2, 2)
         assert np.array_equal(batch[0, 1], theta(4.0))

@@ -239,7 +239,7 @@ class TestBoundedSolution:
         k = 1
         sk = ts5.impulse_point(k)
         left = ev.value(sk)
-        right = ev.right_limit(k)
+        right = model5.jump(k, left)  # the value at the left endpoint after impulse k
         jump = ts5.gap * (
             ROTATION_A @ left + model5.forcing.value(ts5.psi_inv(sk)) + model5.sequence.term(k)
         )
@@ -288,15 +288,17 @@ class TestComponents:
     def test_zero_sequence_means_zero_poisson_part(self, model5_no_sequence):
         cert = certify(model5_no_sequence)
         ev = BoundedSolutionEvaluator(model5_no_sequence, cert)
-        periodic, sequence = ev.parts([4.2])[0]
+        periodic, sequence = ev.parts(4.2)
         assert np.array_equal(sequence, np.zeros(2))
-        assert np.array_equal(ev.right_limit_parts(1)[1], np.zeros(2))
+        ts = model5_no_sequence.ts
+        right = model5_no_sequence.jump(1, ev.parts(ts.impulse_point(1)))
+        assert np.array_equal(right[1], np.zeros(2))
         assert np.array_equal(ev.value(4.2), periodic)
 
     def test_zero_forcing_means_zero_periodic_part(self, model5_no_forcing):
         cert = certify(model5_no_forcing)
         ev = BoundedSolutionEvaluator(model5_no_forcing, cert)
-        assert np.allclose(ev.parts([4.2])[0, 0], np.zeros(2), atol=1e-12)
+        assert np.allclose(ev.parts(4.2)[0], np.zeros(2), atol=1e-12)
 
     def test_periodic_component_is_stride_periodic(self, model5, cert5):
         ev = BoundedSolutionEvaluator(model5, cert5, tol=1e-8)
@@ -304,13 +306,23 @@ class TestComponents:
         drift = ev.parts(s + 5.0)[:, 0] - ev.parts(s)[:, 0]
         assert np.max(np.linalg.norm(drift, axis=1)) < 1e-6
 
-    def test_parts_sum_to_full(self, model5, cert5):
+    def test_parts_sum_to_full(self, model5, cert5, ts5):
         ev = BoundedSolutionEvaluator(model5, cert5, 1e-8)
         s = np.array([1.0, 2.2, 8.8, 14.3])
-        assert np.array_equal(ev.parts(s).sum(axis=1), ev.values(s))
+        assert np.array_equal(ev.parts(s).sum(axis=1), ev.value(s))
+        # and so do their right limits after an impulse
         for k in (0, 1, 3):
-            split = ev.right_limit_parts(k).sum(axis=0)
-            assert np.allclose(split, ev.right_limit(k), rtol=0.0, atol=1e-14)
+            x = ts5.impulse_point(k)
+            split = model5.jump(k, ev.parts(x)).sum(axis=0)
+            assert np.allclose(split, model5.jump(k, ev.value(x)), rtol=0.0, atol=1e-14)
+
+    def test_elementwise_shapes(self, model5, cert5):
+        ev = BoundedSolutionEvaluator(model5, cert5, 1e-8)
+        s = np.array([[1.0, 2.2, 8.8], [14.3, -3.1, 0.0]])
+        assert ev.value(2.2).shape == (2,) and ev.parts(2.2).shape == (2, 2)
+        assert ev.value(s).shape == (2, 3, 2) and ev.parts(s).shape == (2, 3, 2, 2)
+        assert np.array_equal(ev.parts(s)[1, 0], ev.parts(14.3))
+        assert np.array_equal(ev.value(s)[0, 1], ev.value(2.2))
 
 
 class TestJump:

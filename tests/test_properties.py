@@ -2,7 +2,9 @@
 transition matrices, and for the closed-form bounded-solution evaluator,
 batched and single-point evaluation agree, the value matches forward
 integration from deep in the past, the periodic component is
-stride-periodic, the two components sum to the full solution, and the
+stride-periodic, the two components sum to the full solution, left
+endpoints evaluated inside a lifted batch are the jumps of single-point
+values, and the
 memo of segment exponentials changes no value and stays within its cap.  The
 blocked RK4 scan agrees with a plain per-step RK4 loop, stable or not, and
 the pruned return-time scan finds exactly the records of a full scan."""
@@ -26,8 +28,10 @@ from tsdyn import (
     certify,
     check_contractive_period,
     check_invertible_jump,
+    decompose,
     find_return_times,
     integrate,
+    lift,
     matriciant,
     recurrence_defect,
 )
@@ -93,7 +97,7 @@ def _scale(y) -> float:
 @given(model=stable_models(), s=points)
 def test_batched_matches_single_point(model, s):
     ev = BoundedSolutionEvaluator(model, certify(model), TOL)
-    batched = ev.values(s)
+    batched = ev.value(s)
     single = np.array([ev.value(x) for x in s])
     assert batched.shape == (len(s), model.dimension)
     assert np.max(np.abs(batched - single)) <= 1e-12 * _scale(single)
@@ -106,7 +110,7 @@ def test_components(model, s):
     ev = BoundedSolutionEvaluator(model, cert, TOL)
     parts = ev.parts(s)
     assert parts.shape == (len(s), 2, model.dimension)
-    assert np.array_equal(parts.sum(axis=1), ev.values(s))
+    assert np.array_equal(parts.sum(axis=1), ev.value(s))
     here = parts[:, 0]
     shifted = ev.parts(np.asarray(s) + model.ts.stride)[:, 0]
     assert np.max(np.abs(shifted - here)) <= 1e-12 * _scale(here)
@@ -115,10 +119,38 @@ def test_components(model, s):
     quiet = TableSequence({k: np.zeros(m) for k in range(-1000, 101)})
     periodic_only = ImpulsiveModel(model.matrix, ts, model.forcing, quiet)
     sequence_only = ImpulsiveModel(model.matrix, ts, TrigForcing.zero(m, ts.period), model.sequence)
-    periodic = BoundedSolutionEvaluator(periodic_only, cert, TOL).values(s)
+    periodic = BoundedSolutionEvaluator(periodic_only, cert, TOL).value(s)
     assert np.max(np.abs(periodic - here)) <= 1e-12 * _scale(here)
-    sequence = BoundedSolutionEvaluator(sequence_only, cert, TOL).values(s)
+    sequence = BoundedSolutionEvaluator(sequence_only, cert, TOL).value(s)
     assert np.max(np.abs(sequence - parts[:, 1])) <= TOL
+
+
+@PROPERTY_SETTINGS
+@given(model=stable_models(), s=points)
+def test_left_endpoints_join_the_batch(model, s):
+    # lift and decompose evaluate each left endpoint inside their one batch,
+    # at the impulse before it; the result must be the jump of that impulse's
+    # single-point evaluation, bit for bit
+    ev = BoundedSolutionEvaluator(model, certify(model), TOL)
+    ts = model.ts
+    s = np.asarray(s)
+    impulses = ts.impulse_index_below(s).tolist()
+    grid = [ts.endpoint(2 * k + 1) for k in impulses] + [ts.psi_inv(x) for x in s.tolist()]
+    full = lift(model, ev, grid)
+    periodic, sequence = decompose(model, ev, grid)
+    for k in impulses:
+        x = ts.impulse_point(k)
+        assert np.array_equal(full.endpoint_values[k], model.jump(k, ev.value(x)))
+        split = model.jump(k, ev.parts(x))
+        assert np.array_equal(periodic.endpoint_values[k], split[0])
+        assert np.array_equal(sequence.endpoint_values[k], split[1])
+    assert np.array_equal(full.y, ev.value(ts.psi(full.t)))
+    # a scalar is the 0-d case of a batch, row for row
+    values, parts = ev.value(s), ev.parts(s)
+    assert values.shape == (s.size, model.dimension)
+    for i, x in enumerate(s.tolist()):
+        assert np.array_equal(ev.value(x), values[i])
+        assert np.array_equal(ev.parts(x), parts[i])
 
 
 @settings(PROPERTY_SETTINGS, max_examples=15)
@@ -130,11 +162,12 @@ def test_segment_memo_changes_no_value(model, s, shift):
     ts = model.ts
     base = np.asarray(s)
     shifted = base + shift * ts.period
+    # an impulse moment is where a left endpoint of the scale is evaluated
     k = ts.impulse_index_below(float(base[0]))
     calls = [
-        ("parts", base), ("values", shifted), ("right_limit_parts", k),
-        ("parts", np.concatenate([shifted, base[::2]])), ("values", base),
-        ("right_limit_parts", k + shift), ("parts", shifted + ts.stride),
+        ("parts", base), ("value", shifted), ("parts", ts.impulse_point(k)),
+        ("parts", np.concatenate([shifted, base[::2]])), ("value", base),
+        ("parts", ts.impulse_point(k + shift)), ("parts", shifted + ts.stride),
         ("parts", base),
     ]
     shared = BoundedSolutionEvaluator(model, cert, TOL)
@@ -157,7 +190,7 @@ def test_segment_memo_stays_within_its_cap(model, cap, extra):
     s = ts.impulse_point(0) + ts.stride * np.linspace(0.05, 0.95, cap + extra)
     single = np.array([ev.value(x) for x in s])
     assert ev._segment.cache_info().currsize <= cap
-    assert np.array_equal(single, BoundedSolutionEvaluator(model, cert, TOL).values(s))
+    assert np.array_equal(single, BoundedSolutionEvaluator(model, cert, TOL).value(s))
 
 
 @settings(PROPERTY_SETTINGS, max_examples=10)
