@@ -138,6 +138,14 @@ _WINDOWS = {
     "stability_seed": (_integer, 2023),
     "initial": (_vector(_real), None),
 }
+_TIMESCALE = {"theta": (_real, 0.0), "omega": (_real, 0.0), "delta": (_real, 0.0)}
+# a component's harmonics are a list here, each entry converted as a _HARMONIC
+_COMPONENT = {"constant": (_real, 0.0), "harmonics": (_vector(lambda h: h), ())}
+_HARMONIC = {"n": (_integer, 1), "cos": (_real, 0.0), "sin": (_real, 0.0)}
+_LOGISTIC = {
+    "r": (_real, 0.0), "z0": (_real, 0.0), "k_min": (_integer, -2000),
+    "C": (_vector(_real), (1.0,)),
+}
 
 
 @dataclass(frozen=True)
@@ -206,14 +214,11 @@ def _reject_unknown(raw: dict, allowed, name: str, issues: list[str]) -> None:
 
 
 def _build_timescale(raw, issues) -> TimeScaleSpec | None:
-    raw = _require_mapping(raw, "timescale", issues)
-    _reject_unknown(raw, {"theta", "omega", "delta"}, "timescale", issues)
+    section = _converted(raw, _TIMESCALE, "timescale", issues)
+    if section is None:
+        return None
     try:
-        return TimeScaleSpec(
-            anchor=float(raw.get("theta", 0.0)),
-            period=float(raw.get("omega", 0.0)),
-            gap=float(raw.get("delta", 0.0)),
-        )
+        return TimeScaleSpec(anchor=section["theta"], period=section["omega"], gap=section["delta"])
     except (TypeError, ValueError) as exc:
         issues.append(f"timescale: {exc}")
         return None
@@ -225,28 +230,18 @@ def _build_forcing(raw, period, issues) -> TrigForcing | None:
         return None
     comps = []
     for i, comp in enumerate(raw):
-        comp = _require_mapping(comp, f"forcing[{i}]", issues)
-        _reject_unknown(comp, {"constant", "harmonics"}, f"forcing[{i}]", issues)
-        harmonics = []
-        for j, h in enumerate(comp.get("harmonics", [])):
-            h = _require_mapping(h, f"forcing[{i}].harmonics[{j}]", issues)
-            _reject_unknown(h, {"n", "cos", "sin"}, f"forcing[{i}].harmonics[{j}]", issues)
-            try:
-                harmonics.append(
-                    Harmonic(
-                        n=h.get("n", 1),
-                        cos_coeff=float(h.get("cos", 0.0)),
-                        sin_coeff=float(h.get("sin", 0.0)),
-                    )
-                )
-            except (TypeError, ValueError) as exc:
-                issues.append(f"forcing[{i}].harmonics[{j}]: {exc}")
+        comp = _converted(comp, _COMPONENT, f"forcing[{i}]", issues)
+        harmonics = [
+            _converted(h, _HARMONIC, f"forcing[{i}].harmonics[{j}]", issues)
+            for j, h in enumerate(comp["harmonics"] if comp else ())
+        ]
+        if comp is None or None in harmonics:
+            continue
         try:
-            comps.append(
-                ForcingComponent(
-                    constant=float(comp.get("constant", 0.0)), harmonics=tuple(harmonics)
-                )
-            )
+            comps.append(ForcingComponent(
+                constant=comp["constant"],
+                harmonics=tuple(Harmonic(h["n"], h["cos"], h["sin"]) for h in harmonics),
+            ))
         except (TypeError, ValueError) as exc:
             issues.append(f"forcing[{i}]: {exc}")
     if issues:
@@ -262,13 +257,13 @@ def _build_sequence(raw, issues):
     raw = _require_mapping(raw, "gamma", issues)
     kind = raw.get("kind")
     if kind == "logistic":
-        _reject_unknown(raw, {"kind", "r", "z0", "k_min", "C"}, "gamma", issues)
+        fields = {k: v for k, v in raw.items() if k != "kind"}
+        section = _converted(fields, _LOGISTIC, "gamma", issues)
+        if section is None:
+            return None
         try:
             return LogisticSequence(
-                r=float(raw.get("r", 0.0)),
-                z0=float(raw.get("z0", 0.0)),
-                k_min=int(raw.get("k_min", -2000)),
-                output_map=raw.get("C", [1.0]),
+                section["r"], section["z0"], section["k_min"], output_map=section["C"]
             )
         except (TypeError, ValueError) as exc:
             issues.append(f"gamma: {exc}")
@@ -288,10 +283,11 @@ def _build_sequence(raw, issues):
     return None
 
 
-def _converted(raw, fields, name, issues) -> Mapping:
+def _converted(raw, fields, name, issues) -> Mapping | None:
     """One config section with its defaults filled in, each value converted
-    once; a value that does not convert is an issue naming its field."""
-    raw = _require_mapping(raw, name, issues) if raw is not None else {}
+    once; a value that does not convert is an issue naming its field, and
+    leaves the section None."""
+    raw = _require_mapping(raw, name, issues)
     _reject_unknown(raw, fields, name, issues)
     section = {}
     for key, (convert, default) in fields.items():
@@ -300,6 +296,8 @@ def _converted(raw, fields, name, issues) -> Mapping:
             section[key] = value if value is None and default is None else convert(value)
         except (ValueError, OverflowError) as exc:
             issues.append(f"{name}.{key} {exc}, got {value!r}")
+    if len(section) < len(fields):
+        return None
     return MappingProxyType(section)  # a config's kept stages must not go stale
 
 
@@ -320,8 +318,8 @@ def parse_config(raw: dict) -> ScenarioConfig:
     sequence = _build_sequence(raw.get("gamma", {}), issues)
     if ts is not None:
         forcing = _build_forcing(raw.get("forcing", []), ts.period, issues)
-    tolerances = _converted(raw.get("tolerances"), _TOLERANCES, "tolerances", issues)
-    windows = _converted(raw.get("windows"), _WINDOWS, "windows", issues)
+    tolerances = _converted(raw.get("tolerances", {}), _TOLERANCES, "tolerances", issues)
+    windows = _converted(raw.get("windows", {}), _WINDOWS, "windows", issues)
     if issues:
         raise ConfigError(issues)
     try:

@@ -10,24 +10,25 @@ forcing; at each impulse moment the state jumps by
 
 Forward integration is one RK4-plus-jump march (``_march``), run on the
 line by ``integrate`` and read back on the time scale by
-``dynamic.simulate_dynamic``; ``_rk4_segment`` solves each impulse-free
+``dynamic.simulate_dynamic``; ``_rk4_scan`` solves each impulse-free
 segment as a blocked linear scan (Blelloch 1990).
 
 Because every factor appearing in the transition matrix is a function of the
 single matrix ``A``, matrix exponentials and jump factors commute.  The
 bounded-solution evaluator uses this to write the convolution over the
 infinite past in closed form: one augmented matrix exponential per partial
-segment (Van Loan, "Computing integrals involving the matrix exponential",
-IEEE TAC 23(3), 1978), an exact geometric sum for the periodic forcing, and a
-truncated sum over whole gaps for the sequence forcing.  The two sums give
-the periodic and the sequence-driven parts of the solution side by side.
+length (Van Loan, "Computing integrals involving the matrix exponential",
+IEEE TAC 23(3), 1978), taken for a block of lengths in one stacked call, an
+exact geometric sum for the periodic forcing, and a truncated sum over whole
+gaps for the sequence forcing.  The two sums give the periodic and the
+sequence-driven parts of the solution side by side.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -35,17 +36,16 @@ import numpy as np
 from . import matrixkit
 from .errors import AssumptionError, ConvergenceError, HorizonError, MissingSampleError
 from .forcing import PoissonSequence, TrigForcing
-from .timescale import TimeScaleSpec, _edge_tol, _snapped_ceil, sample_index
+from .timescale import TimeScaleSpec, _checked_index, _edge_tol, _snapped_ceil, sample_index
 
 _DET_FLOOR = 1e-10
 _RADIUS_MARGIN = 1e-10
 _DECAY_SAFETY = 0.9
 # Nodes of the certificate's grid over gaps q in [0, 2 * stride].
 _CERT_GRID = 201
-# Segment exponentials one evaluator keeps: far more than the distinct partial
-# lengths of a CLI run (about 400 on the bundled scenario), few enough that
-# point-by-point evaluation over a long grid stays within a few MiB at m = 8.
-_SEGMENT_MEMO_SIZE = 4096
+# Matrix entries per stacked segment exponential: each temporary of a block
+# holds at most 512 KiB, however long the grid.
+_SEGMENT_BLOCK_ENTRIES = 2 ** 16
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -185,17 +185,15 @@ def certify(model: ImpulsiveModel) -> StabilityCert:
     rho = a2.value
     rate = _DECAY_SAFETY * (-math.log(rho)) / stride
     # q <= 2 * stride crosses at most two impulses
-    Q_powers = [np.linalg.matrix_power(model.jump_factor, i) for i in range(3)]
+    Q_powers = np.array([np.linalg.matrix_power(model.jump_factor, i) for i in range(3)])
 
     qs = np.linspace(0.0, 2.0 * stride, _CERT_GRID)
+    E = matrixkit.expm(qs[:, None, None] * A)
+    weights = [math.exp(rate * q) for q in qs.tolist()]
     grid_max = 0.0
-    for q in qs:
-        E = matrixkit.expm(q * A)
-        ratio = q / stride
-        counts = {int(math.floor(ratio)), int(math.ceil(ratio))}
-        for i in counts:
-            norm = matrixkit.spectral_norm(E @ Q_powers[i])
-            grid_max = max(grid_max, norm * math.exp(rate * q))
+    for counts in (np.floor(qs / stride), np.ceil(qs / stride)):
+        norms = matrixkit.spectral_norm(E @ Q_powers[counts.astype(int)])
+        grid_max = max(grid_max, *(n * w for n, w in zip(norms.tolist(), weights)))
     h = 2.0 * stride / (_CERT_GRID - 1)
     a_norm = matrixkit.spectral_norm(A)
     grid_max *= math.exp((a_norm + rate) * h)
@@ -210,7 +208,7 @@ def certify(model: ImpulsiveModel) -> StabilityCert:
     for j in range(1, 5000):
         power = power @ B
         weight *= growth
-        c = matrixkit.spectral_norm(power) * weight
+        c = float(matrixkit.spectral_norm(power)) * weight
         period_factor = max(period_factor, c)
         if c < 1e-9 * period_factor and j >= 8:
             break
@@ -278,7 +276,7 @@ class Trajectory:
         return self.x[i]
 
 
-def _rk4_segment(A, u, h, y):
+def _rk4_scan(A, u, h, y):
     """Classical RK4 for ``y' = A y + u`` over ``n`` steps of size ``h``,
     with the forcing ``u`` tabulated at the half-step mesh (``2n+1`` nodes).
     Returns the ``(n, m)`` post-step states.
@@ -353,10 +351,10 @@ def _march(model: ImpulsiveModel, x, s0: float, s1: float, k0: int, k1: int, ste
         if length > _edge_tol(seg_end):
             # a length that is a whole number of steps up to rounding takes
             # that many, whichever coordinates it was measured in
-            n = max(1, _snapped_ceil(length / step))
+            n = max(1, _checked_index(_snapped_ceil(length / step)))
             h = length / n
             u = _collapsed_forcing_nodes(model, cursor, seg_end, n, k)
-            xs.append(_rk4_segment(A, u, h, x))
+            xs.append(_rk4_scan(A, u, h, x))
             ss.append(np.append(cursor + h * np.arange(1, n), seg_end))
             x = xs[-1][-1].copy()  # the jump record must not pin the block
         if k < k1:
@@ -436,17 +434,9 @@ class BoundedSolutionEvaluator:
     elementwise, a scalar being the 0-d case.  At the left endpoint after
     impulse ``k`` the solution is ``model.jump(k, value(impulse_point(k)))``.
 
-    The points of one run share few partial lengths: callers evaluate the
-    same grids more than once, and a grid repeats its lengths from one
-    interval to the next.  So an instance keeps the top block rows it
-    computes in a memo keyed on the exact float length, with no snapping: a
-    memo hit returns the bits a fresh computation gives.  The memo holds at
-    most ``_SEGMENT_MEMO_SIZE`` lengths, least recently used first out, and
-    starts with the whole stride built by the constructor.  It is a
-    ``functools.lru_cache``, whose lookups and inserts are thread-safe; two
-    threads that miss on one length both compute the same value.  The memo
-    is the only state that changes after construction, so instances are
-    safe for concurrent evaluation.
+    Nothing on an instance changes after construction, so instances are safe
+    for concurrent evaluation and every call gives the bits a fresh instance
+    gives.
     """
 
     def __init__(self, model: ImpulsiveModel, cert: StabilityCert, tol: float = 1e-8) -> None:
@@ -477,13 +467,7 @@ class BoundedSolutionEvaluator:
         generator[m:m + d, m:m + d] = W
         self._generator = generator
 
-        @lru_cache(maxsize=_SEGMENT_MEMO_SIZE)
-        def segment(length: float) -> np.ndarray:
-            """Top block row ``[expm(A L), F(L), K(L)]`` of the augmented exponential."""
-            return _read_only(matrixkit.expm(length * generator)[:m].copy())
-
-        self._segment = segment
-        whole = segment(ts.stride)
+        whole = self._segment_rows(np.array([ts.stride]))[0]
         E, F, G = whole[:, :m], whole[:, m:m + d], whole[:, m + d:]
         Q = model.jump_factor
         B = E @ Q
@@ -511,9 +495,8 @@ class BoundedSolutionEvaluator:
 
         Both rows come from one segment exponential, weighted by
         ``[head, z0, 0]`` and by ``[walk over the gaps, 0, term]``.  Points
-        with equal partial length share the exponential, which the memo keeps
-        for later calls, and points below the same impulse with the same
-        depth share one walk over the gaps.
+        with equal partial length share the exponential, and points below
+        the same impulse with the same depth share one walk over the gaps.
         """
         ts = self.model.ts
         m = self.model.dimension
@@ -533,11 +516,23 @@ class BoundedSolutionEvaluator:
         weights[:, 0, :m] = self._periodic_head
         weights[:, 0, m:-m] = self._z0
         weights[:, 1] = walks[walk_of.reshape(-1)]  # numpy 2.0.0 returns shape (n, 1)
-        segments = np.array([self._segment(L) for L in lengths]).reshape(-1, m, size)
+        segments = self._segment_rows(lengths)
         parts = np.matmul(weights, segments[which].transpose(0, 2, 1))
         return parts.reshape(shape + (2, m))
 
     # -- internals -----------------------------------------------------
+
+    def _segment_rows(self, lengths: np.ndarray) -> np.ndarray:
+        """Top block rows ``[expm(A L), F(L), K(L)]`` of the augmented
+        exponential for each length ``L``, one stacked ``expm`` per block of
+        at most ``_SEGMENT_BLOCK_ENTRIES`` matrix entries."""
+        m, size = self.model.dimension, self._generator.shape[0]
+        rows = np.empty((len(lengths), m, size))
+        step = max(1, _SEGMENT_BLOCK_ENTRIES // size ** 2)
+        for i in range(0, len(lengths), step):
+            block = lengths[i:i + step]
+            rows[i:i + len(block)] = matrixkit.expm(block[:, None, None] * self._generator)[:, :m]
+        return rows
 
     def _gap_walk(self, k: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
         """Sequence sum over the ``depth`` whole gaps ending at impulse ``k``,

@@ -4,6 +4,10 @@ The matrix exponential by Pade scaling and squaring, which numpy does not
 provide, plus the spectral radius and spectral norm read off numpy's
 eigenvalue and singular value routines.  Integer matrix powers are
 ``numpy.linalg.matrix_power``.
+
+Each function acts elementwise on a stack of square matrices, shape
+``(..., d, d)``, a single matrix being the 0-d case: every matrix of a stack
+gets the bits it would get alone.
 """
 
 from __future__ import annotations
@@ -22,31 +26,37 @@ _PADE13 = (
 _PADE13_THETA = 5.371920351148152
 
 
-def _as_square(M, name: str = "M") -> np.ndarray:
+def _as_stack(M, name: str) -> np.ndarray:
+    """``M`` as a float stack of finite square matrices."""
     A = np.asarray(M, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {A.shape}")
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+        raise ValueError(f"{name} requires square matrices, got shape {A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise ValueError(f"{name} requires finite entries")
     return A
 
 
 def expm(M) -> np.ndarray:
     """Matrix exponential by scaling and squaring with a [13/13] Pade core.
 
-    The argument is scaled by a power of two until its 1-norm is at most
+    Each matrix is scaled by a power of two until its 1-norm is at most
     ``theta_13``, where the Pade approximant's backward error is below the
     unit roundoff (Higham, "The scaling and squaring method for the matrix
     exponential revisited", SIAM J. Matrix Anal. Appl. 26(4), 2005); the
-    approximant is then squared back.
+    approximant is then squared back.  The squaring count is each matrix's
+    own: a stack squares only the matrices that still need it.
     """
-    A = _as_square(M)
-    if not np.all(np.isfinite(A)):
-        raise ValueError("expm requires finite entries")
-    m = A.shape[0]
-    norm = float(np.max(np.sum(np.abs(A), axis=0))) if m else 0.0
-    squarings = math.ceil(math.log2(norm / _PADE13_THETA)) if norm > _PADE13_THETA else 0
-    X = A / (2.0 ** squarings)
+    A = _as_stack(M, "expm")
+    norms = np.max(np.sum(np.abs(A), axis=-2), axis=-1, initial=0.0)
+    # math.log2 per matrix: numpy's log2 rounds differently at some inputs
+    squarings = np.array(
+        [math.ceil(math.log2(n / _PADE13_THETA)) if n > _PADE13_THETA else 0
+         for n in norms.reshape(-1).tolist()],
+        dtype=int,
+    ).reshape(norms.shape)
+    X = A / np.ldexp(1.0, squarings)[..., None, None]
     b = _PADE13
-    ident = np.eye(m)
+    ident = np.eye(A.shape[-1])
     X2 = X @ X
     X4 = X2 @ X2
     X6 = X4 @ X2
@@ -55,26 +65,19 @@ def expm(M) -> np.ndarray:
     V = (X6 @ (b[12] * X6 + b[10] * X4 + b[8] * X2)
          + b[6] * X6 + b[4] * X4 + b[2] * X2 + b[0] * ident)
     R = np.linalg.solve(V - U, V + U)
-    for _ in range(squarings):
-        R = R @ R
+    for done in range(int(np.max(squarings, initial=0))):
+        more = squarings > done
+        R[more] = R[more] @ R[more]
     return R
 
 
-def spectral_norm(M) -> float:
+def spectral_norm(M):
     """Largest singular value (the matrix 2-norm), from numpy's SVD."""
-    A = _as_square(M)
-    if not np.all(np.isfinite(A)):
-        raise ValueError("spectral_norm requires finite entries")
-    if A.shape[0] == 0:
-        return 0.0
-    return float(np.linalg.norm(A, 2))
+    A = _as_stack(M, "spectral_norm")
+    return np.max(np.linalg.svd(A, compute_uv=False), axis=-1, initial=0.0)
 
 
-def spectral_radius(M) -> float:
+def spectral_radius(M):
     """Largest eigenvalue modulus, from numpy's eigenvalue routine."""
-    A = _as_square(M)
-    if not np.all(np.isfinite(A)):
-        raise ValueError("spectral_radius requires finite entries")
-    if A.shape[0] == 0:
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvals(A))))
+    A = _as_stack(M, "spectral_radius")
+    return np.max(np.abs(np.linalg.eigvals(A)), axis=-1, initial=0.0)

@@ -73,10 +73,11 @@ def sample_index(grid: np.ndarray, t):
 
 
 def _snapped_ceil(u):
-    """ceil(u), treating values within tolerance of an integer as exact."""
+    """ceil(u) as a float, treating values within tolerance of an integer as
+    exact; callers check the index they make of it."""
     u = np.asarray(u, dtype=float)
     r = np.rint(u)
-    return _checked_index(np.where(np.abs(u - r) <= _edge_tol(u), r, np.ceil(u)))
+    return np.where(np.abs(u - r) <= _edge_tol(u), r, np.ceil(u))
 
 
 @dataclass(frozen=True)
@@ -260,7 +261,7 @@ class TimeScaleSpec:
         """
         if not math.isfinite(s):
             raise ValueError(f"s must be finite, got {s!r}")
-        return s + _snapped_ceil((s - self.anchor) / self.stride) * self.gap
+        return s + _checked_index(_snapped_ceil((s - self.anchor) / self.stride)) * self.gap
 
     # ------------------------------------------------------------------
     # impulse moments

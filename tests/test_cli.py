@@ -83,6 +83,11 @@ class TestConfigLoading:
         assert cfg.tolerances["rk_step"] == 0.01
         assert cfg.model.sequence.z0 == 0.5
 
+    def test_harmonic_order_is_an_integer(self, example_raw):
+        example_raw["forcing"][0]["harmonics"][0]["n"] = True  # not the order 1
+        with pytest.raises(ConfigError, match=r"harmonics\[0\]\.n must be an integer"):
+            parse_config(example_raw)
+
     def test_issue_list_collects_errors(self, example_raw):
         example_raw["timescale"]["delta"] = 9.0
         example_raw["gamma"] = {"kind": "nope"}
@@ -300,7 +305,8 @@ class TestMain:
     @pytest.mark.parametrize(
         "override",
         ['tolerances.grid_step="abc"', "windows.zeta_max=null", "windows.max_returns=[1]",
-         "windows.stability_periods=null"],
+         "windows.stability_periods=null", "gamma.k_min=-2000.7", "gamma.r=true",
+         'gamma.z0="0.4"', "timescale.theta=true"],
     )
     def test_mistyped_value_exits_usage(self, tmp_path, capsys, example_file, override,
                                         subcommand):

@@ -257,10 +257,10 @@ class TestBoundedSolution:
         sup_seq = model5.sequence.sup_norm(-2000, -2000).ceiling
         assert ev.sup_bound == solution_bound(cert5, ts5, model5.forcing.sup_norm(ts5), sup_seq)
 
-    def test_concurrent_evaluation_shares_the_memo(self, model5, cert5):
+    def test_concurrent_evaluation_matches_serial(self, model5, cert5):
         # more threads than cores and a short switch interval interleave the
-        # threads inside the segment memo; grids a whole period apart share
-        # partial lengths, so the threads hit and fill the same entries
+        # threads inside one shared instance; grids a whole period apart share
+        # partial lengths, so the threads compute the same segments at once
         grids = [np.linspace(-20.0, 20.0, 97) + 8.0 * i for i in range(4)]
         expected = [BoundedSolutionEvaluator(model5, cert5, 1e-8).parts(g) for g in grids]
         shared = BoundedSolutionEvaluator(model5, cert5, 1e-8)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from tsdyn.matrixkit import expm, spectral_norm, spectral_radius
+from tsdyn.matrixkit import _PADE13_THETA, expm, spectral_norm, spectral_radius
 
 from conftest import ROTATION_A
 
@@ -113,3 +113,40 @@ class TestSpectralNorm:
                 M = random_matrix(rng, m)
                 want = float(np.linalg.norm(M, 2))
                 assert spectral_norm(M) == pytest.approx(want, rel=1e-9)
+
+
+class TestStacks:
+    @staticmethod
+    def stack(rng, m):
+        # 1-norms from well below to far above theta_13: squaring counts differ
+        M = rng.standard_normal((12, m, m))
+        norms = np.max(np.sum(np.abs(M), axis=-2), axis=-1)
+        targets = _PADE13_THETA * np.geomspace(0.05, 300.0, 12)
+        return (M * (targets / norms)[:, None, None]).reshape(3, 4, m, m)
+
+    def test_each_matrix_gets_its_own_bits(self):
+        rng = np.random.default_rng(10)
+        for m in (1, 2, 5, 8):
+            M = self.stack(rng, m)
+            E, N, R = expm(M), spectral_norm(M), spectral_radius(M)
+            assert E.shape == M.shape and N.shape == R.shape == M.shape[:-2]
+            for idx in np.ndindex(M.shape[:-2]):
+                assert np.array_equal(E[idx], expm(M[idx]))
+                assert N[idx] == spectral_norm(M[idx])
+                assert R[idx] == spectral_radius(M[idx])
+
+    def test_empty_stack(self):
+        assert expm(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+        assert spectral_norm(np.zeros((0, 3, 3))).shape == (0,)
+
+    def test_against_scipy(self):
+        M = self.stack(np.random.default_rng(11), 4)
+        want = scipy.linalg.expm(M)
+        scale = np.max(np.abs(want), axis=(-2, -1), keepdims=True)
+        assert np.max(np.abs(expm(M) - want) / scale) <= 1e-11
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            expm(np.zeros((2, 3, 4)))
+        with pytest.raises(ValueError, match="square"):
+            spectral_norm(np.zeros(3))

@@ -1,13 +1,13 @@
 """Property tests on random stable systems: the decay certificate bounds the
-transition matrices, and for the closed-form bounded-solution evaluator,
-batched and single-point evaluation agree, the value matches forward
-integration from deep in the past, the periodic component is
-stride-periodic, the two components sum to the full solution, left
-endpoints evaluated inside a lifted batch are the jumps of single-point
-values, and the
-memo of segment exponentials changes no value and stays within its cap.  The
-blocked RK4 scan agrees with a plain per-step RK4 loop, stable or not, and
-the pruned return-time scan finds exactly the records of a full scan."""
+transition matrices and its stacked grid gives the bits of a per-node loop,
+and for the closed-form bounded-solution evaluator, batched and single-point
+evaluation agree, the value matches forward integration from deep in the
+past, the periodic component is stride-periodic, the two components sum to
+the full solution, left endpoints evaluated inside a lifted batch are the
+jumps of single-point values, and an instance that has served earlier calls
+gives the bits of a fresh one.  The blocked RK4 scan agrees with a plain
+per-step RK4 loop, stable or not, and the pruned return-time scan finds
+exactly the records of a full scan."""
 
 import math
 from unittest import mock
@@ -22,6 +22,7 @@ from tsdyn import (
     Harmonic,
     ImpulsiveModel,
     LogisticSequence,
+    StabilityCert,
     TableSequence,
     TimeScaleSpec,
     TrigForcing,
@@ -35,8 +36,8 @@ from tsdyn import (
     matriciant,
     recurrence_defect,
 )
-from tsdyn import forcing, impulsive
-from tsdyn.impulsive import _rk4_segment
+from tsdyn import forcing, impulsive, matrixkit
+from tsdyn.impulsive import _rk4_scan
 
 # Deterministic example generation keeps the suite reproducible.
 PROPERTY_SETTINGS = settings(
@@ -155,9 +156,11 @@ def test_left_endpoints_join_the_batch(model, s):
 
 @settings(PROPERTY_SETTINGS, max_examples=15)
 @given(model=stable_models(), s=points, shift=st.integers(1, 3))
-def test_segment_memo_changes_no_value(model, s, shift):
-    # period-shifted points carry partial lengths a few ulps from the base
-    # points' own; a memo that matched them loosely would return other bits
+def test_shared_and_fresh_evaluators_agree(model, s, shift):
+    # an evaluator keeps nothing from one call to the next: after any sequence
+    # of calls (period-shifted points, whose partial lengths lie a few ulps
+    # from the base points' own, scalars, impulse moments) it gives the bits
+    # of a fresh one
     cert = certify(model)
     ts = model.ts
     base = np.asarray(s)
@@ -176,21 +179,38 @@ def test_segment_memo_changes_no_value(model, s, shift):
         assert np.array_equal(getattr(shared, name)(arg), getattr(fresh, name)(arg)), name
 
 
-@settings(PROPERTY_SETTINGS, max_examples=5)
-@given(model=stable_models(), cap=st.integers(1, 8), extra=st.integers(1, 12))
-def test_segment_memo_stays_within_its_cap(model, cap, extra):
-    cert = certify(model)
-    assert BoundedSolutionEvaluator(model, cert, TOL)._segment.cache_info().maxsize == (
-        impulsive._SEGMENT_MEMO_SIZE
-    )
-    with mock.patch.object(impulsive, "_SEGMENT_MEMO_SIZE", cap):
-        ev = BoundedSolutionEvaluator(model, cert, TOL)
-    ts = model.ts
-    # distinct partial lengths inside one interval, fed one point at a time
-    s = ts.impulse_point(0) + ts.stride * np.linspace(0.05, 0.95, cap + extra)
-    single = np.array([ev.value(x) for x in s])
-    assert ev._segment.cache_info().currsize <= cap
-    assert np.array_equal(single, BoundedSolutionEvaluator(model, cert, TOL).value(s))
+def certify_per_node(model):
+    """The certificate with one ``expm`` per grid node and one norm per node
+    and impulse count: the loop that the stacked grid of ``certify`` replaced."""
+    stride = model.ts.stride
+    rho = check_contractive_period(model).value
+    rate = impulsive._DECAY_SAFETY * (-math.log(rho)) / stride
+    Q_powers = [np.linalg.matrix_power(model.jump_factor, i) for i in range(3)]
+    grid_max = 0.0
+    for q in np.linspace(0.0, 2.0 * stride, impulsive._CERT_GRID):
+        E = matrixkit.expm(q * model.matrix)
+        ratio = q / stride
+        for i in {int(math.floor(ratio)), int(math.ceil(ratio))}:
+            norm = float(matrixkit.spectral_norm(E @ Q_powers[i]))
+            grid_max = max(grid_max, norm * math.exp(rate * q))
+    h = 2.0 * stride / (impulsive._CERT_GRID - 1)
+    grid_max *= math.exp((matrixkit.spectral_norm(model.matrix) + rate) * h)
+    power, period_factor, weight = np.eye(model.dimension), 1.0, 1.0
+    for j in range(1, 5000):
+        power = power @ model.period_map
+        weight *= math.exp(rate * stride)
+        c = float(matrixkit.spectral_norm(power)) * weight
+        period_factor = max(period_factor, c)
+        if c < 1e-9 * period_factor and j >= 8:
+            break
+    prefactor = max(1.0, grid_max ** 3 * period_factor)
+    return StabilityCert(rho, rate, prefactor, impulsive._CERT_GRID)
+
+
+@PROPERTY_SETTINGS
+@given(model=stable_models())
+def test_stacked_certificate_grid_matches_per_node_loop(model):
+    assert certify(model) == certify_per_node(model)
 
 
 @settings(PROPERTY_SETTINGS, max_examples=10)
@@ -255,7 +275,7 @@ def test_rk4_scan_matches_step_loop(m, n, h, abscissa, seed):
     u = rng.uniform(-1.0, 1.0, (2 * n + 1, m))
     y0 = rng.uniform(-1.0, 1.0, m)
     expected = rk4_loop(A, u, h, y0)
-    got = _rk4_segment(A, u, h, y0)
+    got = _rk4_scan(A, u, h, y0)
     assert got.shape == (n, m)
     assert np.max(np.abs(got - expected)) <= 1e-11 * _scale(expected)
 

@@ -187,6 +187,16 @@ class TestImpulses:
         assert ts5.impulse_index_below(1.0 + 1e-6) == 0
         assert ts5.impulse_index_below(6.0 - 1e-6) == 0
 
+    def test_index_below_checks_the_index_it_returns(self):
+        # s just past 2**52 strides has ceiling 2**52 + 1 but index 2**52,
+        # the last one allowed; one stride further is past the cap
+        ts = TimeScaleSpec(anchor=0.0, period=3.0, gap=1.0)  # stride 2 divides exactly
+        cap = 2 ** 52
+        assert ts.impulse_index_below(2.0 * (cap + 1)) == cap
+        for s in (2.0 * (cap + 2), -2.0 * cap, np.array([0.5, 2.0 * (cap + 2)])):
+            with pytest.raises(ValueError, match="exceeds"):
+                ts.impulse_index_below(s)
+
 
 # ----------------------------------------------------------------------
 # array forms
