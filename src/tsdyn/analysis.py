@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -99,8 +98,7 @@ def compact_grid(ts: TimeScaleSpec, lo: float, hi: float, grid_step: float) -> l
     if grid_step <= 0.0:
         raise ValueError(f"grid_step must be positive, got {grid_step!r}")
     pts: list[float] = []
-    k_lo = math.floor((lo - ts.anchor) / ts.period) - 1
-    k_hi = math.ceil((hi - ts.anchor) / ts.period) + 1
+    k_lo, k_hi = ts.interval_span(lo, hi)
     for k in range(k_lo, k_hi + 1):
         a = max(ts.endpoint(2 * k - 1), lo)
         b = min(ts.endpoint(2 * k), hi)
@@ -113,8 +111,7 @@ def compact_grid(ts: TimeScaleSpec, lo: float, hi: float, grid_step: float) -> l
 
 
 def verify_poisson(
-    theta2_eval: Callable[[np.ndarray], np.ndarray],
-    ts: TimeScaleSpec,
+    values: np.ndarray,
     returns: ReturnTimeSet,
     compact_lo: float,
     compact_hi: float,
@@ -123,24 +120,25 @@ def verify_poisson(
 ) -> VerificationReport:
     """Check recurrence of a solution along mined return times.
 
-    ``theta2_eval`` maps a 1-d array of points on the scale to an ``(n, m)``
-    array of values; it is called once on the compact grid and once per
-    return shift.  For each return shift the supremum of
-    ``||theta(t + period*zeta) - theta(t)||`` over the gridded compact
-    window is computed.  The check passes when the sequence of suprema never
-    grows by more than the factor ``1 + _SLACK`` from one return to the next
-    and the final supremum falls below the threshold ``eps`` (default:
+    ``values`` has shape ``(R+1, n, m)``: row 0 holds the solution on the
+    ``n`` points of a compact grid, and row ``i`` holds it on that grid
+    shifted by ``period * zeta_i``, the ``i``-th of the ``R`` return shifts.
+    The compact window and grid step only echo how the grid was made.  For
+    each return shift the supremum of ``||theta(t + period*zeta) - theta(t)||``
+    over the grid is computed.  The check passes when the sequence of suprema
+    never grows by more than the factor ``1 + _SLACK`` from one return to the
+    next and the final supremum falls below the threshold ``eps`` (default:
     ``5 * final_defect + 1e-6``, the empirically calibrated convolution-bound
     constant).
     """
     if not returns.entries:
         raise ValueError("return-time set is empty")
-    grid = np.asarray(compact_grid(ts, compact_lo, compact_hi, grid_step))
-    base = np.asarray(theta2_eval(grid), dtype=float)
-    sups: list[float] = []
-    for entry in returns.entries:
-        shifted = np.asarray(theta2_eval(grid + ts.period * entry.zeta), dtype=float)
-        sups.append(float(np.max(np.linalg.norm(shifted - base, axis=1))))
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 3 or values.shape[0] != len(returns.entries) + 1:
+        raise ValueError(
+            f"values must have shape ({len(returns.entries) + 1}, n, m), got {values.shape}"
+        )
+    sups = np.linalg.norm(values[1:] - values[0], axis=-1).max(axis=-1).tolist()
     eps_used = (
         eps
         if eps is not None
@@ -162,7 +160,7 @@ def verify_poisson(
             "slack": _SLACK,
             "compact": [compact_lo, compact_hi],
             "grid_step": grid_step,
-            "grid_points": len(grid),
+            "grid_points": values.shape[1],
         },
     )
 
@@ -291,7 +289,8 @@ def mpps_report(
     When a recurrence report for the full solution is supplied, the
     identity between its suprema and the sequence-component suprema (the
     periodic component cancels under period-multiple shifts) is asserted
-    within ``2 * tol`` and folded into the verdict.
+    within ``2 * tol`` and folded into the verdict.  The two reports are
+    compared metric by metric, so they must hold the same returns.
     """
     components = {
         "periodicity": periodic,
@@ -303,26 +302,15 @@ def mpps_report(
     metrics = {f"{name}_passed": float(r.passed) for name, r in components.items()}
     parameters: dict = {"tol": tol}
     if poisson_full is not None:
-        d2 = _sup_sequence_of(poisson)
-        dfull = _sup_sequence_of(poisson_full)
-        if len(d2) != len(dfull):
+        if poisson.metrics.keys() != poisson_full.metrics.keys():
             raise ValueError("full and component recurrence reports use different returns")
-        deviation = max(abs(a - b) for a, b in zip(d2, dfull))
+        deviation = max(abs(v - poisson_full.metrics[k]) for k, v in poisson.metrics.items())
         metrics["recurrence_identity_deviation"] = deviation
         passed = passed and deviation <= 2.0 * tol
         parameters["recurrence_identity_tol"] = 2.0 * tol
     return VerificationReport(
         kind="mpps", metrics=metrics, passed=passed, parameters=parameters
     )
-
-
-def _sup_sequence_of(report: VerificationReport) -> list[float]:
-    out = []
-    i = 0
-    while f"D_{i}" in report.metrics:
-        out.append(report.metrics[f"D_{i}"])
-        i += 1
-    return out
 
 
 def _window_padding(

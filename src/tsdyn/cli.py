@@ -275,9 +275,9 @@ def _build_sequence(raw, issues):
             issues.append("gamma.values must be an object mapping indices to vectors")
             return None
         try:
-            return TableSequence({int(k): v for k, v in values.items()})
+            return TableSequence({int(k): _vector(_real)(v) for k, v in values.items()})
         except (TypeError, ValueError) as exc:
-            issues.append(f"gamma: {exc}")
+            issues.append(f"gamma.values {exc}")
             return None
     issues.append("gamma.kind must be 'logistic' or 'table'")
     return None
@@ -310,10 +310,10 @@ def parse_config(raw: dict) -> ScenarioConfig:
         "config", issues,
     )
     ts = _build_timescale(raw.get("timescale", {}), issues)
-    matrix = raw.get("matrix")
-    if not isinstance(matrix, list):
-        issues.append("matrix must be a list of rows")
-        matrix = [[0.0]]
+    try:
+        matrix = _vector(_vector(_real))(raw.get("matrix"))
+    except ValueError:
+        issues.append(f"matrix must be a list of rows of numbers, got {raw.get('matrix')!r}")
     forcing = None
     sequence = _build_sequence(raw.get("gamma", {}), issues)
     if ts is not None:
@@ -473,9 +473,7 @@ def _mine_returns(cfg: ScenarioConfig, padded: bool = False) -> ReturnTimeSet:
     if window is None:
         # default: the interval indices spanned by the compact window, padded
         # on both sides by the decay-based depth when asked
-        lo_t, hi_t = _required(cfg, "compact_lo", "compact_hi")
-        lo = math.floor((lo_t - cfg.ts.anchor) / cfg.ts.period)
-        hi = math.ceil((hi_t - cfg.ts.anchor) / cfg.ts.period)
+        lo, hi = cfg.ts.interval_span(*_required(cfg, "compact_lo", "compact_hi"))
         pad = 0
         if padded:
             sup_seq = impulsive._sequence_ceiling(cfg.model.sequence)
@@ -510,23 +508,14 @@ def _cmd_verify(cfg: ScenarioConfig, out: Path) -> int:
 
     report_periodic = analysis.verify_periodic(theta1, ts, cfg.tolerances["period_tol"])
     returns = _mine_returns(cfg, padded=True)
-    eps = cfg.tolerances["poisson_eps"]
-    theta_parts = dynamic.as_timescale_function(model, evaluator)
-    # Both reports evaluate the same compact grid and return-shifted grids;
-    # each grid's parts are computed once and shared.
-    evaluated: dict[bytes, np.ndarray] = {}
-
-    def parts(t: np.ndarray) -> np.ndarray:
-        key = t.tobytes()
-        if key not in evaluated:
-            evaluated[key] = theta_parts(t)
-        return evaluated[key]
-
+    # the compact grid (row 0) and its return-shifted copies in one batch
+    shifts = ts.period * np.array([0, *returns.zetas])
+    values = dynamic.as_timescale_function(model, evaluator)(np.add.outer(shifts, grid))
     report_poisson = analysis.verify_poisson(
-        lambda t: parts(t)[:, 1], ts, returns, lo, hi, grid_step, eps=eps,
+        values[..., 1, :], returns, lo, hi, grid_step, eps=cfg.tolerances["poisson_eps"],
     )
     report_poisson_full = analysis.verify_poisson(
-        lambda t: parts(t).sum(axis=1), ts, returns, lo, hi, grid_step,
+        values.sum(axis=-2), returns, lo, hi, grid_step,
         eps=report_poisson.parameters["eps"] + 2.0 * tol,
     )
     sup_f = model.forcing.sup_norm(ts)

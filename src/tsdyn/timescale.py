@@ -167,6 +167,14 @@ class TimeScaleSpec:
         j = (k + 1) // 2  # k = 2j - 1
         return self.anchor + self.gap + (j - 1) * self.period
 
+    def interval_span(self, lo: float, hi: float) -> tuple[int, int]:
+        """Interval indices ``floor((lo - anchor) / period)`` and
+        ``ceil((hi - anchor) / period)``; every interval that meets
+        ``[lo, hi]`` has an index between them.  Unlike :meth:`locate` this
+        applies no boundary snap, so the indices follow the plain quotients."""
+        return (math.floor((lo - self.anchor) / self.period),
+                math.ceil((hi - self.anchor) / self.period))
+
     def locate(self, t):
         """Classify ``t`` against the scale, elementwise.
 

@@ -89,9 +89,10 @@ def test_criterion_3_poisson_component(model5, cert5, ts5):
           "defects " + ", ".join(f"{d:.4f}" for d in returns.defects))
 
     parts = as_timescale_function(model5, BoundedSolutionEvaluator(model5, cert5, 1e-8))
+    grid = compact_grid(ts5, 1.0, 17.0, 0.05)
+    values = parts(np.add.outer(ts5.period * np.array([0, *returns.zetas]), grid))
     report = verify_poisson(
-        lambda t: parts(t)[:, 1], ts5, returns,
-        compact_lo=1.0, compact_hi=17.0, grid_step=0.05,
+        values[..., 1, :], returns, compact_lo=1.0, compact_hi=17.0, grid_step=0.05,
     )
     sups = [report.metrics[f"D_{i}"] for i in range(len(returns.entries))]
     monotone = all(sups[i + 1] <= 1.1 * sups[i] for i in range(len(sups) - 1))
@@ -223,7 +224,8 @@ def test_criterion_7_degenerate_scenarios(model5_no_sequence, model5_no_forcing,
     rep_periodic = verify_periodic(theta1, ts5, tol=1e-6)
     returns = find_return_times(model5_no_sequence.sequence, (0, 20), 1000, max_count=3)
     parts = as_timescale_function(model5_no_sequence, ev)
-    rep_poisson = verify_poisson(lambda t: parts(t)[:, 1], ts5, returns, 1.0, 17.0, 0.25)
+    values = parts(np.add.outer(ts5.period * np.array([0, *returns.zetas]), grid))
+    rep_poisson = verify_poisson(values[..., 1, :], returns, 1.0, 17.0, 0.25)
     _gate("criterion 7: degenerate recurrence suprema are identically zero",
           rep_poisson.metrics["final_sup_difference"] == 0.0)
     full = lift(model5_no_sequence, ev, grid)

@@ -30,6 +30,11 @@ from tsdyn.forcing import ReturnEntry
 from conftest import ROTATION_A
 
 
+def return_grids(ts, returns, lo, hi, step):
+    """The compact grid (row 0) stacked with its return-shifted copies."""
+    return np.add.outer(ts.period * np.array([0, *returns.zetas]), compact_grid(ts, lo, hi, step))
+
+
 def constant_solution(ts, lo_k, hi_k, value, step=0.5):
     pts, vals = [], []
     for k in range(lo_k, hi_k + 1):
@@ -84,16 +89,17 @@ class TestVerifyPeriodic:
 class TestVerifyPoisson:
     def test_exact_recurrence_gives_zero(self, ts5, forcing5):
         returns = ReturnTimeSet(window=(0, 5), entries=(ReturnEntry(1, 0.0),))
-        report = verify_poisson(
-            forcing5.value_many, ts5, returns, 1.0, 17.0, 0.25, eps=1e-9
-        )
+        grids = return_grids(ts5, returns, 1.0, 17.0, 0.25)
+        values = forcing5.value_many(grids.ravel()).reshape(grids.shape + (2,))
+        report = verify_poisson(values, returns, 1.0, 17.0, 0.25, eps=1e-9)
         assert report.passed
         assert report.metrics["final_sup_difference"] < 1e-12
 
     def test_worked_scenario(self, model5, cert5, ts5):
         returns = find_return_times(model5.sequence, (0, 20), 100_000, max_count=3)
         parts = as_timescale_function(model5, BoundedSolutionEvaluator(model5, cert5, 1e-8))
-        report = verify_poisson(lambda t: parts(t)[:, 1], ts5, returns, 1.0, 17.0, 0.05)
+        values = parts(return_grids(ts5, returns, 1.0, 17.0, 0.05))
+        report = verify_poisson(values[..., 1, :], returns, 1.0, 17.0, 0.05)
         assert report.passed
         sups = [report.metrics[f"D_{i}"] for i in range(3)]
         assert all(s > 0 for s in sups)
@@ -111,16 +117,14 @@ class TestVerifyPoisson:
         cert = certify(model)
         returns = find_return_times(table, (0, 20), 180, max_count=3)
         parts = as_timescale_function(model, BoundedSolutionEvaluator(model, cert, 1e-6))
-        report = verify_poisson(
-            lambda t: parts(t)[:, 1], ts5, returns, 1.0, 17.0, 0.5, eps=1e-3,
-        )
+        values = parts(return_grids(ts5, returns, 1.0, 17.0, 0.5))
+        report = verify_poisson(values[..., 1, :], returns, 1.0, 17.0, 0.5, eps=1e-3)
         assert not report.passed
 
     def test_requires_returns(self, ts5):
         with pytest.raises(ValueError):
             verify_poisson(
-                lambda t: np.zeros((len(t), 2)), ts5,
-                ReturnTimeSet(window=(0, 1), entries=()), 1.0, 17.0, 0.5,
+                np.zeros((1, 3, 2)), ReturnTimeSet(window=(0, 1), entries=()), 1.0, 17.0, 0.5,
             )
 
 
@@ -211,15 +215,26 @@ class TestAggregate:
         )
         assert not report.passed
 
+    def test_identity_requires_the_same_returns(self):
+        one = ReturnTimeSet(window=(0, 5), entries=(ReturnEntry(1, 0.5),))
+        two = ReturnTimeSet(window=(0, 5), entries=(ReturnEntry(1, 0.5), ReturnEntry(2, 0.25)))
+        p2 = verify_poisson(np.zeros((2, 3, 2)), one, 1.0, 17.0, 0.5)
+        full = verify_poisson(np.zeros((3, 3, 2)), two, 1.0, 17.0, 0.5)
+        with pytest.raises(ValueError, match="different returns"):
+            mpps_report(
+                self._stub("periodicity", True), p2, self._stub("bound", True),
+                self._stub("stability", True), poisson_full=full,
+            )
+
     def test_worked_scenario_identity(self, model5, cert5, ts5):
         returns = find_return_times(model5.sequence, (0, 20), 100_000, max_count=3)
         tol = 1e-8
         parts = as_timescale_function(model5, BoundedSolutionEvaluator(model5, cert5, tol))
         kw = dict(compact_lo=1.0, compact_hi=17.0, grid_step=0.25)
-        rep2 = verify_poisson(lambda t: parts(t)[:, 1], ts5, returns, **kw)
+        values = parts(return_grids(ts5, returns, 1.0, 17.0, 0.25))
+        rep2 = verify_poisson(values[..., 1, :], returns, **kw)
         repf = verify_poisson(
-            lambda t: parts(t).sum(axis=1), ts5, returns,
-            eps=rep2.parameters["eps"] + 2 * tol, **kw,
+            values.sum(axis=-2), returns, eps=rep2.parameters["eps"] + 2 * tol, **kw,
         )
         report = mpps_report(
             self._stub("periodicity", True), rep2, self._stub("bound", True),

@@ -5,7 +5,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tsdyn import BoundedSolutionEvaluator, ConfigError, cli, errors, impulsive
+from tsdyn import (
+    BoundedSolutionEvaluator,
+    ConfigError,
+    as_timescale_function,
+    cli,
+    compact_grid,
+    errors,
+    impulsive,
+)
 from tsdyn.cli import (
     EXIT_OK,
     EXIT_USAGE,
@@ -249,6 +257,55 @@ class TestSubcommands:
         assert run("example", load_config(bundled_example_path()), tmp_path) == EXIT_OK
         assert calls == {"certify": 1, "find_return_times": 1, "evaluator": 1}
 
+    @pytest.mark.parametrize("max_returns", [3, 5])
+    def test_verify_makes_three_evaluator_batches(self, tmp_path, monkeypatch, example_raw,
+                                                  max_returns):
+        # one batch each for the lift, the decomposition and the recurrence
+        # reports, whose compact grid is stacked with all its shifted copies
+        batches = []
+        parts = BoundedSolutionEvaluator.parts
+
+        def counting(self, s):
+            batches.append(np.size(s))
+            return parts(self, s)
+
+        monkeypatch.setattr(BoundedSolutionEvaluator, "parts", counting)
+        example_raw["windows"]["max_returns"] = max_returns
+        run("verify", parse_config(example_raw), tmp_path)
+        verify = json.loads((tmp_path / "verify.json").read_text())
+        assert len(verify["poisson"]["parameters"]["zetas"]) == max_returns
+        assert len(batches) == 3
+
+    @pytest.mark.parametrize("sequence", ["logistic", "table"])
+    def test_recurrence_reports_match_per_shift_reference(self, tmp_path, example_raw,
+                                                          sequence):
+        if sequence == "table":
+            rng = np.random.default_rng(5)
+            terms = rng.uniform(-1.0, 1.0, size=(400, 2))
+            example_raw["gamma"] = {
+                "kind": "table", "values": {str(k - 300): v.tolist() for k, v in enumerate(terms)},
+            }
+            example_raw["windows"]["zeta_max"] = 60
+        cfg = parse_config(example_raw)
+        run("verify", cfg, tmp_path)
+        verify = json.loads((tmp_path / "verify.json").read_text())
+        # the reference evaluates the compact grid and each shifted copy on its own
+        ts, windows = cfg.ts, cfg.windows
+        grid = np.asarray(compact_grid(
+            ts, windows["compact_lo"], windows["compact_hi"], cfg.tolerances["grid_step"]
+        ))
+        parts = as_timescale_function(cfg.model, cfg.evaluator)
+        base = parts(grid)
+        zetas = verify["poisson"]["parameters"]["zetas"]
+        for name, pick in (("poisson", lambda v: v[:, 1]),
+                           ("poisson_full_solution", lambda v: v.sum(axis=1))):
+            reference = [
+                float(np.max(np.linalg.norm(pick(parts(grid + ts.period * z)) - pick(base),
+                                            axis=1)))
+                for z in zetas
+            ]
+            assert [verify[name]["metrics"][f"D_{i}"] for i in range(len(zetas))] == reference
+
     def test_config_is_read_only(self):
         cfg = load_config(bundled_example_path())
         with pytest.raises(TypeError):
@@ -306,7 +363,8 @@ class TestMain:
         "override",
         ['tolerances.grid_step="abc"', "windows.zeta_max=null", "windows.max_returns=[1]",
          "windows.stability_periods=null", "gamma.k_min=-2000.7", "gamma.r=true",
-         'gamma.z0="0.4"', "timescale.theta=true"],
+         'gamma.z0="0.4"', "timescale.theta=true", 'matrix=[["-0.4", 0.2], [-0.2, true]]',
+         'gamma={"kind": "table", "values": {"0": [true, "0.5"]}}'],
     )
     def test_mistyped_value_exits_usage(self, tmp_path, capsys, example_file, override,
                                         subcommand):

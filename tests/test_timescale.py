@@ -63,6 +63,16 @@ class TestEndpoints:
         with pytest.raises(ValueError, match="exceeds"):
             ts5.endpoint(2 ** 54)
 
+    def test_interval_span(self, ts5):
+        assert ts5.interval_span(1.0, 17.0) == (0, 2)   # right endpoints of 0 and 2
+        assert ts5.interval_span(4.0, 4.0) == (0, 1)    # left endpoint of interval 1
+        assert ts5.interval_span(2.0, 2.5) == (0, 1)    # inside the hole (1, 4)
+        assert ts5.interval_span(-6.0, -4.0) == (-1, 0)  # hole (-7, -4) to a left endpoint
+        assert ts5.interval_span(-12.0, -7.0) == (-2, -1)  # interval -1 end to end
+        # no boundary snap: just past a right endpoint reaches the next index
+        assert ts5.interval_span(1.0 + 1e-14, 1.0 + 1e-14) == (0, 1)
+        assert all(isinstance(k, int) for k in ts5.interval_span(-6.0, 2.0))
+
 
 class TestMembership:
     def test_examples(self, ts5):
