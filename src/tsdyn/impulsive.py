@@ -41,7 +41,7 @@ from .timescale import TimeScaleSpec, _checked_index, _edge_tol, _snapped_ceil, 
 _DET_FLOOR = 1e-10
 _RADIUS_MARGIN = 1e-10
 _DECAY_SAFETY = 0.9
-# Nodes of the certificate's grid over gaps q in [0, 2 * stride].
+# Nodes of the certificate's grid over gaps q in [0, stride].
 _CERT_GRID = 201
 # Matrix entries per stacked segment exponential: each temporary of a block
 # holds at most 512 KiB, however long the grid.
@@ -145,7 +145,7 @@ class StabilityCert:
     Guarantees ``||U(s, r)|| <= prefactor * exp(-decay_rate * (s - r))`` for
     all ``s >= r``; ``floquet_radius`` is the spectral radius of the
     one-period transition matrix and ``decay_rate`` is 90% of the exact
-    Floquet rate, leaving margin for the finite-grid prefactor estimate.
+    Floquet rate, so that the weighted whole-period norms fall below one.
     """
 
     floquet_radius: float
@@ -163,13 +163,17 @@ class StabilityCert:
 def certify(model: ImpulsiveModel) -> StabilityCert:
     """Produce a decay certificate from the spectral assumptions.
 
-    The decay rate is ``0.9 * (-ln rho) / stride``.  The prefactor is built
-    from a maximum of ``||U(r+q, r)|| * exp(rate*q)`` over ``_CERT_GRID``
-    gaps ``q`` up to two periods (the impulse count over a window of length
-    ``q`` takes only the two integer values bracketing ``q/stride``, so the
-    supremum over ``r`` is exact), a Lipschitz inflation covering off-grid
-    gaps, and a whole-period factor ``sup_j ||B^j|| exp(rate*j*stride)``
-    through which transitions over longer gaps factor.
+    The decay rate is ``rate = 0.9 * (-ln rho) / stride``.  ``A`` commutes
+    with ``Q = I + gap*A``, so for ``q = j*stride + q'``, ``0 <= q' < stride``,
+    ``U(r+q, r) = B^j expm(A q') Q^i`` with ``B`` the period map and ``i`` in
+    {0, 1}, and ``||U(r+q, r)|| e^{rate q} <= g c_j``.  Here ``g`` is the
+    maximum of ``max(||E||, ||E Q||) e^{rate q'}``, ``E = expm(A q')``, over
+    ``_CERT_GRID`` nodes on ``[0, stride]``, times ``exp((||A|| + rate) h)``
+    to reach every ``q'`` within a grid step ``h`` after a node; and
+    ``c_j = ||B^j|| e^{rate j stride}``.  These are submultiplicative, so
+    once ``c_J <= 1`` each ``c_j <= c_(j mod J)`` and ``sup_j c_j`` is
+    exactly ``max(1, c_1, .., c_{J-1})``: the loop stops at the first such
+    ``J`` and the prefactor is ``g`` times that supremum.
     """
     a1 = check_invertible_jump(model)
     if not a1.passed:
@@ -184,57 +188,53 @@ def certify(model: ImpulsiveModel) -> StabilityCert:
     stride = model.ts.stride
     rho = a2.value
     rate = _DECAY_SAFETY * (-math.log(rho)) / stride
-    # q <= 2 * stride crosses at most two impulses
-    Q_powers = np.array([np.linalg.matrix_power(model.jump_factor, i) for i in range(3)])
 
-    qs = np.linspace(0.0, 2.0 * stride, _CERT_GRID)
+    qs = np.linspace(0.0, stride, _CERT_GRID)
     E = matrixkit.expm(qs[:, None, None] * A)
-    weights = [math.exp(rate * q) for q in qs.tolist()]
-    grid_max = 0.0
-    for counts in (np.floor(qs / stride), np.ceil(qs / stride)):
-        norms = matrixkit.spectral_norm(E @ Q_powers[counts.astype(int)])
-        grid_max = max(grid_max, *(n * w for n, w in zip(norms.tolist(), weights)))
-    h = 2.0 * stride / (_CERT_GRID - 1)
+    norms = np.maximum(matrixkit.spectral_norm(E), matrixkit.spectral_norm(E @ model.jump_factor))
+    grid_max = max(n * math.exp(rate * q) for n, q in zip(norms.tolist(), qs.tolist()))
+    h = stride / (_CERT_GRID - 1)
     a_norm = matrixkit.spectral_norm(A)
-    grid_max *= math.exp((a_norm + rate) * h)
+    try:
+        grid_max *= math.exp((a_norm + rate) * h)
+    except OverflowError:
+        raise ConvergenceError(
+            f"certificate grid inflation overflows: ||A|| = {a_norm:.3e}, grid step {h:.3e}"
+        ) from None
 
-    # sup over j of ||B^j|| e^{rate*j*stride}; the summand decays like
-    # rho^(0.1 j) asymptotically, so the running maximum freezes quickly.
     B = model.period_map
     growth = math.exp(rate * stride)
     power = np.eye(model.dimension)
-    period_factor = 1.0
-    weight = 1.0
-    for j in range(1, 5000):
+    period_factor = weight = 1.0
+    for _ in range(5000):
         power = power @ B
         weight *= growth
         c = float(matrixkit.spectral_norm(power)) * weight
-        period_factor = max(period_factor, c)
-        if c < 1e-9 * period_factor and j >= 8:
+        if c <= 1.0:
             break
+        period_factor = max(period_factor, c)
     else:
-        raise ConvergenceError("whole-period factor did not stabilize")
+        raise ConvergenceError("weighted period-map norms did not fall below one")
 
-    prefactor = max(1.0, grid_max ** 3 * period_factor)
-    return StabilityCert(
-        floquet_radius=rho,
-        decay_rate=rate,
-        prefactor=prefactor,
-        grid_resolution=_CERT_GRID,
-    )
+    return StabilityCert(floquet_radius=rho, decay_rate=rate,
+                         prefactor=max(1.0, grid_max * period_factor), grid_resolution=_CERT_GRID)
 
 
 def matriciant(model: ImpulsiveModel, s: float, r: float) -> np.ndarray:
     """Transition matrix ``U(s, r)`` of the homogeneous impulsive system.
 
-    Equals ``expm(A*(s-r))`` times the jump factor raised to the number of
-    impulse moments in ``[r, s)``; ``U(s, s)`` is the identity.
+    Equals ``expm(A*(s-r))`` times ``Q = I + gap*A`` raised to the number
+    ``n`` of impulse moments in ``[r, s)``, taken as ``B^j expm(A q') Q^(n-j)``
+    with ``j`` whole period maps ``B``: a large ``Q^n`` never multiplies a
+    small exponential.  ``U(s, s)`` is the identity.
     """
     if s < r:
         raise ValueError(f"matriciant requires s >= r, got s={s!r} < r={r!r}")
     count = model.ts.count_impulses(r, s)
-    E = matrixkit.expm((s - r) * model.matrix)
-    return E @ np.linalg.matrix_power(model.jump_factor, count)
+    j = min(count, math.floor((s - r) / model.ts.stride))
+    E = matrixkit.expm((s - r - j * model.ts.stride) * model.matrix)
+    return (np.linalg.matrix_power(model.period_map, j) @ E
+            @ np.linalg.matrix_power(model.jump_factor, count - j))
 
 
 # ----------------------------------------------------------------------

@@ -348,7 +348,9 @@ class TestMain:
 
     @pytest.mark.parametrize(
         "override, error",
-        [("gamma.k_min=-3", "HorizonError"), ("matrix=[[0.0, 0.0], [0.0, 0.0]]", "AssumptionError")],
+        [("gamma.k_min=-3", "HorizonError"), ("matrix=[[0.0, 0.0], [0.0, 0.0]]", "AssumptionError"),
+         # both assumptions hold, but exp(||A|| h) over one grid step overflows
+         ("matrix=[[-0.5, 100000.0], [0.0, -0.5]]", "ConvergenceError")],
     )
     def test_bounded_library_errors(self, tmp_path, capsys, example_file, override, error):
         code = main([

@@ -130,6 +130,21 @@ class TestMatriciant:
             U_qr = matriciant(model5, r + q1, r)
             assert np.max(np.abs(U_sr - U_sq @ U_qr)) < 1e-10
 
+    def test_long_window_matches_diagonal_closed_form(self, ts5):
+        # A = V diag(D) V^-1 is far from normal: Q^n grows like 2.6^n while
+        # expm(Aq) shrinks, so their product in one piece cancels to noise
+        V = np.array([[1.0, 5.0], [0.0, 1.0]])
+        D = np.array([-0.3, -1.2])
+        model = quiet_model(ts5, V @ np.diag(D) @ np.linalg.inv(V), 2)
+        r = 0.3
+        for q in (50.0, 100.0, 150.0):
+            n = ts5.count_impulses(r, r + q)
+            want = V @ np.diag(np.exp(D * q) * (1.0 + ts5.gap * D) ** n) @ np.linalg.inv(V)
+            got = matriciant(model, r + q, r)
+            assert spectral_norm(got - want) <= 1e-10 * spectral_norm(want)
+        # the proven stop gives a prefactor of the size of the transient growth
+        assert certify(model).prefactor < 1e3
+
     def test_period_shift(self, model5, ts5):
         rng = np.random.default_rng(15)
         for _ in range(50):
