@@ -18,7 +18,7 @@ from .dynamic import TimeScaleSolution, simulate_dynamic
 from .errors import TimeScaleDomainError
 from .forcing import ReturnTimeSet, TableSequence, TrigForcing
 from .impulsive import ImpulsiveModel, StabilityCert, solution_bound
-from .timescale import TimeScaleSpec, sample_index
+from .timescale import TimeScaleSpec
 
 _SEPARATION_FLOOR = 1e-12
 # Growth a recurrence supremum may show from one return to the next.
@@ -61,27 +61,21 @@ def _jsonable(obj):
 # periodicity
 
 
-def verify_periodic(
-    theta1: TimeScaleSolution, ts: TimeScaleSpec, tol: float
-) -> VerificationReport:
+def verify_periodic(values: np.ndarray, period: float, tol: float) -> VerificationReport:
     """Check that a solution is periodic with the time-scale period.
 
-    Pairs every stored abscissa ``t`` with ``t + period`` (and endpoint
-    values at consecutive jump indices) and measures the worst deviation.
-    Raises if the solution does not cover any shifted pair.
+    ``values`` has shape ``(2, n, m)``: row 0 holds the solution on the ``n``
+    points of a compact grid, and row 1 holds it on that grid shifted by
+    exactly one ``period``.  The metric is the worst deviation
+    ``max_n ||row1 - row0||`` over the ``n`` pairs.
     """
-    period = ts.period
-    j = sample_index(theta1.t, theta1.t + period)
-    hit = j >= 0
-    deviations = np.linalg.norm(theta1.y[j[hit]] - theta1.y[hit], axis=1).tolist()
-    ends = theta1.endpoint_values
-    deviations += [float(np.linalg.norm(ends[k + 1] - ends[k])) for k in ends if k + 1 in ends]
-    if not deviations:
-        raise ValueError("solution does not cover any period-shifted grid pair")
-    metric = max(deviations)
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 3 or values.shape[0] != 2 or values.shape[1] == 0:
+        raise ValueError(f"values must have shape (2, n, m) with n > 0, got {values.shape}")
+    metric = float(np.linalg.norm(values[1] - values[0], axis=-1).max())
     return VerificationReport(
         kind="periodicity",
-        metrics={"max_shift_deviation": metric, "pairs": float(len(deviations))},
+        metrics={"max_shift_deviation": metric, "pairs": float(values.shape[1])},
         passed=metric < tol,
         parameters={"tol": tol, "period": period},
     )
@@ -311,19 +305,3 @@ def mpps_report(
     return VerificationReport(
         kind="mpps", metrics=metrics, passed=passed, parameters=parameters
     )
-
-
-def _window_padding(
-    cert: StabilityCert, ts: TimeScaleSpec, sup_seq: float, eps: float
-) -> int:
-    """Heuristic depth (in periods) a mining window should extend below a
-    compact set so unmined past terms cannot dominate the recurrence check.
-
-    Internal tolerance heuristic only; deliberately not part of the public
-    API surface.
-    """
-    # the sup-norm ceiling of a solution driven by forcing 1 and sequence 2*sup_seq
-    tau0 = 1.0 / (2.0 * solution_bound(cert, ts, 1.0, 2.0 * sup_seq))
-    if eps <= 0.0 or tau0 * eps >= 1.0:
-        return 0
-    return math.ceil(math.log(1.0 / (tau0 * eps)) / (cert.decay_rate * ts.stride))

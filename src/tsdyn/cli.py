@@ -471,14 +471,14 @@ def _cmd_decompose(cfg: ScenarioConfig, out: Path) -> int:
 def _mine_returns(cfg: ScenarioConfig, padded: bool = False) -> ReturnTimeSet:
     window = cfg.windows.get("return_window")
     if window is None:
-        # default: the interval indices spanned by the compact window, padded
-        # on both sides by the decay-based depth when asked
+        # default: the interval indices spanned by the compact window; padded,
+        # it reaches every term the evaluator reads there, which go down to
+        # impulse_index_below(psi(t) - horizon) + 1, within ceil(horizon /
+        # stride) + 1 whole gaps below the span, and never above the span
         lo, hi = cfg.ts.interval_span(*_required(cfg, "compact_lo", "compact_hi"))
-        pad = 0
         if padded:
-            sup_seq = impulsive._sequence_ceiling(cfg.model.sequence)
-            pad = analysis._window_padding(cfg.certificate, cfg.ts, sup_seq, 1e-3)
-        window = (lo - pad, hi + pad)
+            lo -= math.ceil(cfg.evaluator.horizon / cfg.ts.stride) + 1
+        window = (lo, hi)
     return cfg.return_set(window)
 
 
@@ -500,17 +500,18 @@ def _cmd_verify(cfg: ScenarioConfig, out: Path) -> int:
     lo, hi = _required(cfg, "compact_lo", "compact_hi")
     grid_step = cfg.tolerances["grid_step"]
     grid = analysis.compact_grid(ts, lo, hi, grid_step)
-    shifted = analysis.compact_grid(ts, lo + ts.period, hi + ts.period, grid_step)
 
     evaluator = cfg.evaluator
     theta = dynamic.lift(model, evaluator, grid)
-    theta1, _ = dynamic.decompose(model, evaluator, grid + shifted)
-
-    report_periodic = analysis.verify_periodic(theta1, ts, cfg.tolerances["period_tol"])
     returns = _mine_returns(cfg, padded=True)
-    # the compact grid (row 0) and its return-shifted copies in one batch
-    shifts = ts.period * np.array([0, *returns.zetas])
+    # one batch: the compact grid (row 0), its copy one period on (row 1) and
+    # its return-shifted copies (rows 2 on)
+    shifts = ts.period * np.array([0, 1, *returns.zetas])
     values = dynamic.as_timescale_function(model, evaluator)(np.add.outer(shifts, grid))
+    report_periodic = analysis.verify_periodic(
+        values[:2, :, 0], ts.period, cfg.tolerances["period_tol"]
+    )
+    values = np.delete(values, 1, axis=0)
     report_poisson = analysis.verify_poisson(
         values[..., 1, :], returns, lo, hi, grid_step, eps=cfg.tolerances["poisson_eps"],
     )

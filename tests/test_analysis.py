@@ -14,7 +14,6 @@ from tsdyn import (
     as_timescale_function,
     certify,
     compact_grid,
-    decompose,
     find_return_times,
     lift,
     matriciant,
@@ -67,23 +66,22 @@ class TestCompactGrid:
 
 class TestVerifyPeriodic:
     def test_constant_passes(self, ts5):
-        sol = constant_solution(ts5, -1, 3, [1.0, -2.0])
-        report = verify_periodic(sol, ts5, tol=1e-6)
+        values = np.broadcast_to([1.0, -2.0], (2, 41, 2))
+        report = verify_periodic(values, ts5.period, tol=1e-6)
         assert report.passed
-        assert report.metrics["max_shift_deviation"] == 0.0
+        assert report.metrics == {"max_shift_deviation": 0.0, "pairs": 41.0}
 
     def test_periodic_component_passes(self, model5, cert5, ts5):
-        grid = compact_grid(ts5, 1.0, 17.0, 0.2) + compact_grid(ts5, 9.0, 25.0, 0.2)
-        ev = BoundedSolutionEvaluator(model5, cert5, 1e-8)
-        theta1, theta2 = decompose(model5, ev, grid)
-        assert verify_periodic(theta1, ts5, tol=1e-6).passed
+        parts = as_timescale_function(model5, BoundedSolutionEvaluator(model5, cert5, 1e-8))
+        values = parts(np.add.outer([0.0, ts5.period], compact_grid(ts5, 1.0, 17.0, 0.2)))
+        assert verify_periodic(values[..., 0, :], ts5.period, tol=1e-6).passed
         # the sequence-driven part is not periodic
-        assert not verify_periodic(theta2, ts5, tol=1e-6).passed
+        assert not verify_periodic(values[..., 1, :], ts5.period, tol=1e-6).passed
 
-    def test_requires_shifted_pairs(self, ts5):
-        sol = constant_solution(ts5, 0, 0, [1.0, 1.0])
-        with pytest.raises(ValueError, match="shifted"):
-            verify_periodic(sol, ts5, tol=1e-6)
+    @pytest.mark.parametrize("shape", [(3, 5, 2), (1, 5, 2), (2, 5), (2, 0, 2)])
+    def test_rejects_wrong_shape(self, ts5, shape):
+        with pytest.raises(ValueError, match="shape"):
+            verify_periodic(np.zeros(shape), ts5.period, tol=1e-6)
 
 
 class TestVerifyPoisson:

@@ -258,9 +258,9 @@ class TestSubcommands:
         assert calls == {"certify": 1, "find_return_times": 1, "evaluator": 1}
 
     @pytest.mark.parametrize("max_returns", [3, 5])
-    def test_verify_makes_three_evaluator_batches(self, tmp_path, monkeypatch, example_raw,
-                                                  max_returns):
-        # one batch each for the lift, the decomposition and the recurrence
+    def test_verify_makes_two_evaluator_batches(self, tmp_path, monkeypatch, example_raw,
+                                                max_returns):
+        # one batch for the lift, and one for the periodicity and recurrence
         # reports, whose compact grid is stacked with all its shifted copies
         batches = []
         parts = BoundedSolutionEvaluator.parts
@@ -274,7 +274,44 @@ class TestSubcommands:
         run("verify", parse_config(example_raw), tmp_path)
         verify = json.loads((tmp_path / "verify.json").read_text())
         assert len(verify["poisson"]["parameters"]["zetas"]) == max_returns
-        assert len(batches) == 3
+        assert len(batches) == 2
+
+    def test_periodicity_pairs_every_grid_point(self, tmp_path, example_raw):
+        # with delta = 2.7 the interval length 5.3 is no whole number of grid
+        # steps, so a grid built over the window one period on rounds its node
+        # counts differently from the compact grid's
+        example_raw["timescale"]["delta"] = 2.7
+        cfg = parse_config(example_raw)
+        run("verify", cfg, tmp_path)
+        verify = json.loads((tmp_path / "verify.json").read_text())
+        grid = compact_grid(cfg.ts, 1.0, 17.0, cfg.tolerances["grid_step"])
+        assert len(grid) == 216
+        assert verify["periodicity"]["metrics"]["pairs"] == len(grid)
+        assert verify["periodicity"]["passed"]
+
+    def test_default_return_window_covers_evaluator_depth(self, tmp_path, monkeypatch,
+                                                          example_raw):
+        windows = []
+        scan = cli.find_return_times
+
+        def recording(seq, window, *args, **kwargs):
+            windows.append(window)
+            return scan(seq, window, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "find_return_times", recording)
+        example_raw["windows"]["return_window"] = None
+        cfg = parse_config(example_raw)
+        assert run("verify", cfg, tmp_path) == EXIT_OK
+        # the sequence indices the evaluator reads over the compact grid: at
+        # psi(t) = t - k*gap, which at a left endpoint is the impulse before it
+        ts = cfg.ts
+        grid = np.asarray(compact_grid(ts, 1.0, 17.0, cfg.tolerances["grid_step"]))
+        s = grid - ts.gap * ts.locate(grid)[0]
+        deepest = int(ts.impulse_index_below(s - cfg.evaluator.horizon).min()) + 1
+        highest = int(ts.impulse_index_below(s).max()) + 1
+        assert (deepest, highest) == (-10, 2)
+        (lo, hi), = windows
+        assert lo <= deepest and hi == highest
 
     @pytest.mark.parametrize("sequence", ["logistic", "table"])
     def test_recurrence_reports_match_per_shift_reference(self, tmp_path, example_raw,
