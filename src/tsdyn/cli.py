@@ -15,10 +15,10 @@ verify     all verification reports -> verify.json
 example    run the bundled two-dimensional logistic scenario end to end
 
 Each derived stage of the pipeline (the assumption checks, the decay
-certificate, the bounded-solution evaluator and the return sets) is computed
+certificate, the bounded-solution evaluator and the return times) is computed
 once per config, on first use, and shared by every subcommand run on that
-config: ``example`` certifies once, builds one evaluator and scans each
-return window once.
+config: ``example`` certifies once, builds one evaluator and scans one return
+window once, so ``returns.json`` and ``verify.json`` report the same shifts.
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage or
 configuration error or any other library error (every
@@ -156,7 +156,9 @@ class ScenarioConfig:
     computed once per config however many subcommands read it.  They depend
     only on the fields, which is why :func:`parse_config` hands out the
     tolerances and windows as read-only mappings.  The kept records are
-    shared: read them, never change them.
+    shared: read them, never change them.  Each stage has one value per
+    config: the return times, too, are mined on one window, which ``returns``
+    and ``verify`` both read.
     """
 
     model: ImpulsiveModel
@@ -188,16 +190,22 @@ class ScenarioConfig:
         return BoundedSolutionEvaluator(self.model, self.certificate, self.tolerances["eval_tol"])
 
     @cached_property
-    def _return_sets(self) -> dict[tuple[int, int], ReturnTimeSet]:
-        return {}
+    def returns(self) -> ReturnTimeSet:
+        """The return times mined over ``windows.return_window``.
 
-    def return_set(self, window: tuple[int, int]) -> ReturnTimeSet:
-        """Return times mined over an integer index window, one scan per window."""
-        if window not in self._return_sets:
-            self._return_sets[window] = find_return_times(
-                self.model.sequence, window, self.windows["zeta_max"], self.windows["max_returns"]
-            )
-        return self._return_sets[window]
+        A null window is the interval span of the compact window extended
+        below by ``ceil(evaluator.horizon / stride) + 1`` whole gaps.  It
+        holds every sequence term the evaluator reads on the compact grid:
+        those reach down to ``impulse_index_below(psi(t) - horizon) + 1``
+        and never above the span.
+        """
+        window = self.windows["return_window"]
+        if window is None:
+            lo, hi = self.ts.interval_span(*_required(self, "compact_lo", "compact_hi"))
+            window = (lo - math.ceil(self.evaluator.horizon / self.ts.stride) - 1, hi)
+        return find_return_times(
+            self.model.sequence, window, self.windows["zeta_max"], self.windows["max_returns"]
+        )
 
 
 def _require_mapping(raw, name: str, issues: list[str]) -> dict:
@@ -344,9 +352,9 @@ def _apply_override(raw: dict, spec: str) -> None:
     keys = path.split(".")
     node = raw
     for key in keys[:-1]:
-        node = node.setdefault(key, {})
-        if not isinstance(node, dict):
-            raise ConfigError([f"override path {path!r} crosses a non-object field"])
+        node = node.setdefault(key, {}) if isinstance(node, dict) else None
+    if not isinstance(node, dict):  # the config itself, or a field on the path
+        raise ConfigError([f"override path {path!r} crosses a non-object field"])
     node[keys[-1]] = value
 
 
@@ -468,23 +476,8 @@ def _cmd_decompose(cfg: ScenarioConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def _mine_returns(cfg: ScenarioConfig, padded: bool = False) -> ReturnTimeSet:
-    window = cfg.windows.get("return_window")
-    if window is None:
-        # default: the interval indices spanned by the compact window; padded,
-        # it reaches every term the evaluator reads there, which go down to
-        # impulse_index_below(psi(t) - horizon) + 1, within ceil(horizon /
-        # stride) + 1 whole gaps below the span, and never above the span
-        lo, hi = cfg.ts.interval_span(*_required(cfg, "compact_lo", "compact_hi"))
-        if padded:
-            lo -= math.ceil(cfg.evaluator.horizon / cfg.ts.stride) + 1
-        window = (lo, hi)
-    return cfg.return_set(window)
-
-
 def _cmd_returns(cfg: ScenarioConfig, out: Path) -> int:
-    returns = _mine_returns(cfg)
-    _write_json(out / "returns.json", returns.to_dict())
+    _write_json(out / "returns.json", cfg.returns.to_dict())
     return EXIT_OK
 
 
@@ -503,7 +496,7 @@ def _cmd_verify(cfg: ScenarioConfig, out: Path) -> int:
 
     evaluator = cfg.evaluator
     theta = dynamic.lift(model, evaluator, grid)
-    returns = _mine_returns(cfg, padded=True)
+    returns = cfg.returns
     # one batch: the compact grid (row 0), its copy one period on (row 1) and
     # its return-shifted copies (rows 2 on)
     shifts = ts.period * np.array([0, 1, *returns.zetas])

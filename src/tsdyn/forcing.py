@@ -400,25 +400,9 @@ def recurrence_defect(seq: PoissonSequence, window: tuple[int, int], zeta: int) 
     return float(np.max(np.linalg.norm(shifted - base, axis=1)))
 
 
-# Shifts per block of the return scan: the pruning bound tightens once per
-# block, and the per-block temporaries stay near a MiB at m = 8.
+# Shifts per block of the return scan: the abandoning threshold tightens once
+# per block, and the per-block temporaries stay near a MiB at m = 8.
 _SCAN_BLOCK = 1 << 14
-# Leading window offsets whose defect max serves as the pruning lower bound.
-_BOUND_OFFSETS = 2
-
-
-def _offset_defects(terms: np.ndarray, offsets: range, shifts) -> np.ndarray:
-    """``max ||terms[offset + 1 + i] - terms[offset]||`` over ``offsets``.
-
-    ``shifts`` selects the shift indices ``i`` (shift ``zeta = i + 1``) as a
-    slice or an index array.  Each row norm is the same arithmetic as in
-    :func:`recurrence_defect`, so the values agree bit for bit.
-    """
-    out = None
-    for offset in offsets:
-        norms = np.linalg.norm(terms[offset + 1:][shifts] - terms[offset], axis=1)
-        out = norms if out is None else np.maximum(out, norms, out=out)
-    return out
 
 
 def find_return_times(
@@ -434,16 +418,18 @@ def find_return_times(
     records are returned.  Requires the sequence to be defined on
     ``[window_lo, window_hi + zeta_max]``.
 
-    The scan is exact but pruned.  It walks the shifts in increasing order in
-    blocks.  For each block it first takes a lower bound: the maximum of the
-    per-offset norms over the first two window offsets only.  The full window
-    defect is computed only for shifts whose bound lies strictly below the
-    best full defect of all earlier blocks.  A pruned shift has full defect
-    >= bound >= best, so it cannot strictly improve on the best and is never
-    a record; it also cannot lower the running best.  The survivors' defects
-    are the same row norms as the full scan's and the maximum is exact, so
-    the records, their defects and the tie rule (a tie never records) are
-    those of the full scan.
+    The scan is exact and early-abandoning (Rakthanmanon et al., "Searching
+    and mining trillions of time series subsequences under dynamic time
+    warping", KDD 2012).  It walks the shifts in increasing order in blocks.
+    Within a block it walks the window offsets in order, keeps each live
+    shift's running maximum of ``||term(k + zeta) - term(k)||`` and, after
+    each offset, abandons every shift whose running maximum is not strictly
+    below the best defect of all earlier blocks.  An abandoned shift has
+    defect >= running maximum >= best, so it cannot strictly improve on the
+    best and is never a record; it also cannot lower the running best.  The
+    survivors' defects are the same row norms as :func:`recurrence_defect`'s
+    and the maximum is exact, so the records, their defects and the tie rule
+    (a tie never records) are those of the full scan.
     """
     lo, hi = int(window[0]), int(window[1])
     if hi < lo:
@@ -455,24 +441,23 @@ def find_return_times(
         raise ValueError(f"max_count must be >= 1, got {max_count}")
 
     terms = seq.terms(lo, hi + zeta_max)  # indices lo .. hi+zeta_max
-    width = hi - lo + 1
-    head = range(min(width, _BOUND_OFFSETS))
-    rest = range(len(head), width)
     best = math.inf
     records: list[ReturnEntry] = []
-    for start in range(0, zeta_max, _SCAN_BLOCK):
-        bound = _offset_defects(terms, head, slice(start, min(start + _SCAN_BLOCK, zeta_max)))
-        keep = np.flatnonzero(bound < best)
-        if keep.size == 0:
-            continue
-        full = bound[keep]
-        if rest:
-            np.maximum(full, _offset_defects(terms, rest, start + keep), out=full)
+    for start in range(1, zeta_max + 1, _SCAN_BLOCK):
+        zetas = np.arange(start, min(start + _SCAN_BLOCK, zeta_max + 1))
+        defects = np.zeros(zetas.size)
+        for offset in range(hi - lo + 1):
+            norms = np.linalg.norm(terms[offset + zetas] - terms[offset], axis=1)
+            np.maximum(defects, norms, out=defects)
+            live = defects < best
+            zetas, defects = zetas[live], defects[live]
+            if zetas.size == 0:
+                break
         # prior[j]: the best defect of every shorter shift; a record is strictly below it
-        prior = np.minimum.accumulate(np.concatenate(([best], full)))
+        prior = np.minimum.accumulate(np.concatenate(([best], defects)))
         records.extend(
-            ReturnEntry(zeta=start + int(keep[j]) + 1, defect=float(full[j]))
-            for j in np.flatnonzero(full < prior[:-1])
+            ReturnEntry(zeta=int(zetas[j]), defect=float(defects[j]))
+            for j in np.flatnonzero(defects < prior[:-1])
         )
         best = float(prior[-1])
     return ReturnTimeSet(window=(lo, hi), entries=tuple(records[-max_count:]))

@@ -204,13 +204,15 @@ class TestSubcommands:
         defects = [e["defect"] for e in payload["entries"]]
         assert defects == sorted(defects, reverse=True)
 
-    def test_returns_window_defaults_to_compact_span(self, tmp_path, example_raw):
+    def test_returns_window_covers_evaluator_depth(self, tmp_path, example_raw):
         example_raw["windows"].pop("return_window")
         example_raw["windows"]["zeta_max"] = 2000
         cfg = parse_config(example_raw)
         assert run("returns", cfg, tmp_path) == EXIT_OK
         payload = json.loads((tmp_path / "returns.json").read_text())
-        assert payload["window"] == [0, 2]  # interval indices covering [1, 17]
+        # the interval indices covering [1, 17], extended below to the
+        # deepest term the evaluator reads there
+        assert payload["window"] == [-12, 2]
 
     def test_bounded_and_decompose(self, tmp_path, example_raw):
         example_raw["windows"]["t_end"] = 17.0
@@ -237,7 +239,9 @@ class TestSubcommands:
         for name in names:
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes(), name
 
-    def test_example_computes_each_stage_once(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("return_window", [[0, 20], None], ids=["window", "null"])
+    def test_example_computes_each_stage_once(self, tmp_path, monkeypatch, example_raw,
+                                              return_window):
         calls = Counter()
 
         def counting(name, fn):
@@ -254,8 +258,14 @@ class TestSubcommands:
             BoundedSolutionEvaluator, "__init__",
             counting("evaluator", BoundedSolutionEvaluator.__init__),
         )
-        assert run("example", load_config(bundled_example_path()), tmp_path) == EXIT_OK
+        example_raw["windows"]["return_window"] = return_window
+        assert run("example", parse_config(example_raw), tmp_path) == EXIT_OK
         assert calls == {"certify": 1, "find_return_times": 1, "evaluator": 1}
+        # returns and verify report the one mined set
+        returns = json.loads((tmp_path / "returns.json").read_text())
+        verify = json.loads((tmp_path / "verify.json").read_text())
+        zetas = [e["zeta"] for e in returns["entries"]]
+        assert zetas == verify["poisson"]["parameters"]["zetas"]
 
     @pytest.mark.parametrize("max_returns", [3, 5])
     def test_verify_makes_two_evaluator_batches(self, tmp_path, monkeypatch, example_raw,
@@ -396,6 +406,26 @@ class TestMain:
         ])
         assert code == EXIT_USAGE
         assert json.loads(capsys.readouterr().err.strip())["error"] == error
+
+    def test_default_return_window_needs_certificate(self, tmp_path, capsys, example_file):
+        # a null window reaches as deep as the evaluator reads, so mining it
+        # needs the certificate, which a non-contractive matrix refuses
+        code = main([
+            "returns", "--config", str(example_file), "--out", str(tmp_path),
+            "--override", "windows.return_window=null",
+            "--override", "matrix=[[0.4, 0.0], [0.0, 0.4]]",
+        ])
+        assert code == EXIT_USAGE
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "AssumptionError"
+
+    @pytest.mark.parametrize("override", ["x=1", "a.b=1"])
+    def test_override_on_non_object_config(self, tmp_path, capsys, override):
+        path = tmp_path / "list.json"
+        path.write_text("[]")
+        code = main(["check", "--config", str(path), "--out", str(tmp_path),
+                     "--override", override])
+        assert code == EXIT_USAGE
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
 
     @pytest.mark.parametrize("subcommand", sorted(cli._SUBCOMMANDS))
     @pytest.mark.parametrize(

@@ -7,8 +7,8 @@ past, the periodic component is stride-periodic, the two components sum to
 the full solution, left endpoints evaluated inside a lifted batch are the
 jumps of single-point values, and an instance that has served earlier calls
 gives the bits of a fresh one.  The blocked RK4 scan agrees with a plain
-per-step RK4 loop, stable or not, and the pruned return-time scan finds
-exactly the records of a full scan."""
+per-step RK4 loop, stable or not, and the early-abandoning return-time scan
+finds exactly the records of a full scan, on table and logistic sequences."""
 
 import math
 from unittest import mock
@@ -312,17 +312,24 @@ def test_rk4_scan_matches_step_loop(m, n, h, abscissa, seed):
     max_count=st.integers(1, 8),
     block=st.integers(1, 16),
     seed=st.integers(0, 2 ** 32 - 1),
+    r=st.none() | st.floats(3.6, 4.0),
 )
-@example(m=1, levels=2, lo=0, width=1, zeta_max=150, max_count=8, block=1, seed=0)
-@example(m=2, levels=3, lo=-3, width=6, zeta_max=64, max_count=1, block=16, seed=1)
+@example(m=1, levels=2, lo=0, width=1, zeta_max=150, max_count=8, block=1, seed=0, r=None)
+@example(m=2, levels=3, lo=-3, width=6, zeta_max=64, max_count=1, block=16, seed=1, r=None)
+# shifts 2 and 3 each record a defect within a relative 1e-5 of the last, a block later
+@example(m=2, levels=2, lo=-2, width=6, zeta_max=3, max_count=3, block=1, seed=29, r=4.0)
 def test_pruned_return_scan_matches_full_scan(
-    m, levels, lo, width, zeta_max, max_count, block, seed
+    m, levels, lo, width, zeta_max, max_count, block, seed, r
 ):
-    # few quantized levels make many shifts tie; only a strict improvement records
     rng = np.random.default_rng(seed)
     hi = lo + width - 1
-    values = 0.25 * rng.integers(0, levels, (hi + zeta_max - lo + 1, m))
-    seq = TableSequence({lo + k: v for k, v in enumerate(values)})
+    if r is None:
+        # few quantized levels make many shifts tie; only a strict improvement records
+        values = 0.25 * rng.integers(0, levels, (hi + zeta_max - lo + 1, m))
+        seq = TableSequence({lo + k: v for k, v in enumerate(values)})
+    else:
+        # the logistic orbit through an output map, as every bundled scenario runs
+        seq = LogisticSequence(r, rng.uniform(0.01, 0.99), lo, rng.uniform(-2.0, 2.0, m))
     records, best = [], math.inf
     for zeta in range(1, zeta_max + 1):
         d = recurrence_defect(seq, (lo, hi), zeta)
