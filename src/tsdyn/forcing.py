@@ -18,6 +18,7 @@ from typing import Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
+from .errors import HorizonError
 from .timescale import TimeScaleSpec
 
 # Uniform samples over one interval (or period) behind TrigForcing.sup_norm.
@@ -404,6 +405,35 @@ def recurrence_defect(seq: PoissonSequence, window: tuple[int, int], zeta: int) 
 # per block, and the per-block temporaries stay near a MiB at m = 8.
 _SCAN_BLOCK = 1 << 14
 
+# Rounding slack of the scalar prefilter of a logistic scan: relative and
+# absolute (in units of ||output_map||) bounds on how far a computed row norm
+# of two terms' difference can sit from ||output_map|| * |dz|.
+_REL = 1e-12
+_ABS = 1e-14
+
+
+def _scalar_survivors(
+    z: np.ndarray, c: float, width: int, zetas: np.ndarray, best: float
+) -> np.ndarray:
+    """The shifts of one block of a logistic scan that may still record.
+
+    ``sd`` is each shift's running maximum of ``|z[offset + zeta] - z[offset]|``
+    and ``[c*(sd(1 - _REL) - _ABS), c*(sd(1 + _REL) + _ABS)]`` brackets its
+    computed vector defect (proof in :func:`find_return_times`).
+    """
+    sd = np.zeros(zetas.size)
+    for offset in range(width):
+        np.maximum(sd, np.abs(z[offset + zetas] - z[offset]), out=sd)
+        lower = c * (sd * (1.0 - _REL) - _ABS)
+        live = lower < best
+        zetas, sd, lower = zetas[live], sd[live], lower[live]
+        if zetas.size == 0:
+            break
+    upper = c * (sd * (1.0 + _REL) + _ABS)
+    # earlier[j]: the least upper bound of the survivors before shift j
+    earlier = np.minimum.accumulate(np.concatenate(([math.inf], upper[:-1])))
+    return zetas[lower < earlier]
+
 
 def find_return_times(
     seq: PoissonSequence,
@@ -416,7 +446,8 @@ def find_return_times(
     A shift is recorded whenever its defect (:func:`recurrence_defect`)
     strictly improves the best value seen so far; the deepest ``max_count``
     records are returned.  Requires the sequence to be defined on
-    ``[window_lo, window_hi + zeta_max]``.
+    ``[window_lo, window_hi + zeta_max]``; a window starting below
+    ``seq.min_index()`` raises :class:`~tsdyn.errors.HorizonError`.
 
     The scan is exact and early-abandoning (Rakthanmanon et al., "Searching
     and mining trillions of time series subsequences under dynamic time
@@ -430,6 +461,25 @@ def find_return_times(
     survivors' defects are the same row norms as :func:`recurrence_defect`'s
     and the maximum is exact, so the records, their defects and the tie rule
     (a tie never records) are those of the full scan.
+
+    A :class:`LogisticSequence` has rank-one terms ``C z_k``, so its scan
+    reads the orbit ``z`` and builds rows ``np.outer(z[idx], C)`` only for
+    the shifts that pass a scalar prefilter first.  With ``c = ||C||`` and
+    ``sd`` a shift's running maximum of ``|z[offset + zeta] - z[offset]|``,
+    its computed defect ``d`` lies in ``[lb, ub]``, ``lb = c*(sd(1 - 1e-12)
+    - 1e-14)`` and ``ub = c*(sd(1 + 1e-12) + 1e-14)``: the row norm of
+    ``fl(z_a C) - fl(z_b C)`` is within ``2u||C|| + (m + 4)u ||C|| |dz|`` of
+    ``||C|| |dz|`` for ``z`` in [0, 1] (``u`` the unit roundoff), which
+    these slacks cover for ``m`` up to about 9000.  The prefilter drops a
+    shift once ``lb >= best`` (then ``d >= best``), and after the offsets
+    every shift whose ``lb`` is not below the least ``ub`` of the block's
+    earlier survivors (then ``d >= lb >= ub_i >= d_i`` for an earlier shift
+    ``i``, and by induction ``d`` is at least the defect of an earlier kept
+    shift or ``best``).  Either way the
+    dropped shift never strictly improves on a shorter shift's defect, so it
+    is never a record and never lowers the running best, and the exact
+    survivors' records are the full scan's.  The ``(zeta_max, m)`` term
+    table is never built.
     """
     lo, hi = int(window[0]), int(window[1])
     if hi < lo:
@@ -439,20 +489,37 @@ def find_return_times(
         raise ValueError(f"zeta_max must be >= 1, got {zeta_max}")
     if max_count < 1:
         raise ValueError(f"max_count must be >= 1, got {max_count}")
+    if lo < seq.min_index():
+        raise HorizonError(
+            f"return window {list(window)} starts below the sequence's first "
+            f"index {seq.min_index()}"
+        )
 
-    terms = seq.terms(lo, hi + zeta_max)  # indices lo .. hi+zeta_max
+    width = hi - lo + 1
+    if isinstance(seq, LogisticSequence):
+        z = seq._values(lo, hi + zeta_max)  # indices lo .. hi+zeta_max
+        C = seq.output_map
+        c = float(np.linalg.norm(C))
+
+        def rows(idx):
+            return np.outer(z[idx], C)
+    else:
+        z = None
+        rows = seq.terms(lo, hi + zeta_max).__getitem__
     best = math.inf
     records: list[ReturnEntry] = []
     for start in range(1, zeta_max + 1, _SCAN_BLOCK):
         zetas = np.arange(start, min(start + _SCAN_BLOCK, zeta_max + 1))
+        if z is not None:
+            zetas = _scalar_survivors(z, c, width, zetas, best)
         defects = np.zeros(zetas.size)
-        for offset in range(hi - lo + 1):
-            norms = np.linalg.norm(terms[offset + zetas] - terms[offset], axis=1)
+        for offset in range(width):
+            if zetas.size == 0:
+                break
+            norms = np.linalg.norm(rows(offset + zetas) - rows(offset), axis=1)
             np.maximum(defects, norms, out=defects)
             live = defects < best
             zetas, defects = zetas[live], defects[live]
-            if zetas.size == 0:
-                break
         # prior[j]: the best defect of every shorter shift; a record is strictly below it
         prior = np.minimum.accumulate(np.concatenate(([best], defects)))
         records.extend(

@@ -407,6 +407,19 @@ class TestMain:
         assert code == EXIT_USAGE
         assert json.loads(capsys.readouterr().err.strip())["error"] == error
 
+    def test_return_window_below_first_index(self, tmp_path, capsys, example_file):
+        # the evaluator reads down to index -10, but the null window pads one
+        # gap deeper than that, below an orbit seeded at -11
+        code = main([
+            "example", "--config", str(example_file), "--out", str(tmp_path),
+            "--override", "gamma.k_min=-11",
+            "--override", "windows.return_window=null",
+        ])
+        assert code == EXIT_USAGE
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "HorizonError"
+        assert "[-12, 2]" in record["message"] and "-11" in record["message"]
+
     def test_default_return_window_needs_certificate(self, tmp_path, capsys, example_file):
         # a null window reaches as deep as the evaluator reads, so mining it
         # needs the certificate, which a non-contractive matrix refuses

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from tsdyn import (
     ForcingComponent,
     Harmonic,
+    HorizonError,
     LogisticSequence,
     TableSequence,
     TimeScaleSpec,
@@ -216,9 +218,26 @@ class TestReturnTimes:
         last3 = find_return_times(sequence5, (0, 20), 100_000, max_count=3)
         assert last3.entries == all_records.entries[-3:]
 
+    def test_logistic_scan_never_builds_the_term_table(self):
+        seq = LogisticSequence(3.9, 0.4, k_min=0, output_map=np.linspace(0.5, 2.0, 8))
+        seq._values(0, 20 + 200_000)  # the orbit is grown before measuring
+        tracemalloc.start()
+        try:
+            returns = find_return_times(seq, (0, 20), 200_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert returns.entries
+        # the (200_021, 8) term table alone would be about 12 MiB
+        assert peak < 4 * 2 ** 20
+
     def test_window_validation(self, sequence5):
         with pytest.raises(ValueError, match="empty"):
             find_return_times(sequence5, (5, 4), 100)
+
+    def test_window_below_first_index(self, sequence5):
+        with pytest.raises(HorizonError, match=r"\[-2001, 0\].*-2000"):
+            find_return_times(sequence5, (-2001, 0), 100)
 
     def test_requires_defined_indices(self):
         seq = TableSequence({k: [0.1 * k] for k in range(0, 30)})

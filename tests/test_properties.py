@@ -302,34 +302,57 @@ def test_rk4_scan_matches_step_loop(m, n, h, abscissa, seed):
     assert np.max(np.abs(got - expected)) <= 1e-11 * _scale(expected)
 
 
+def _quantized_table(m, levels, lo, hi, zeta_max, seed):
+    """Few quantized levels, so many shifts tie; only a strict improvement records."""
+    values = 0.25 * np.random.default_rng(seed).integers(0, levels, (hi + zeta_max - lo + 1, m))
+    return TableSequence({lo + k: v for k, v in enumerate(values)})
+
+
+def _logistic(m, r, k_min, seed):
+    """The logistic orbit through an output map, as every bundled scenario runs."""
+    rng = np.random.default_rng(seed)
+    return LogisticSequence(r, rng.uniform(0.01, 0.99), k_min, rng.uniform(-2.0, 2.0, m))
+
+
+@st.composite
+def return_scans(draw):
+    """A sequence with a window ``(lo, hi)`` and a ``zeta_max`` it covers."""
+    m = draw(st.integers(1, 3))
+    lo = draw(st.integers(-5, 5))
+    hi = lo + draw(st.integers(1, 6)) - 1
+    zeta_max = draw(st.integers(1, 150))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    kind = draw(st.sampled_from(["table", "chaotic", "periodic"]))
+    if kind == "table":
+        seq = _quantized_table(m, draw(st.integers(2, 4)), lo, hi, zeta_max, seed)
+    elif kind == "chaotic":
+        seq = _logistic(m, draw(st.floats(3.6, 4.0)), lo, seed)
+    else:
+        # a periodic window of the map: once the transient below the window
+        # has died out, the defects of whole periods tie at rounding level
+        seq = _logistic(m, draw(st.floats(2.9, 3.83)), lo - draw(st.integers(0, 400)), seed)
+    return seq, (lo, hi), zeta_max
+
+
 @settings(PROPERTY_SETTINGS, max_examples=60)
 @given(
-    m=st.integers(1, 3),
-    levels=st.integers(2, 4),
-    lo=st.integers(-5, 5),
-    width=st.integers(1, 6),
-    zeta_max=st.integers(1, 150),
+    scan=return_scans(),
     max_count=st.integers(1, 8),
     block=st.integers(1, 16),
-    seed=st.integers(0, 2 ** 32 - 1),
-    r=st.none() | st.floats(3.6, 4.0),
 )
-@example(m=1, levels=2, lo=0, width=1, zeta_max=150, max_count=8, block=1, seed=0, r=None)
-@example(m=2, levels=3, lo=-3, width=6, zeta_max=64, max_count=1, block=16, seed=1, r=None)
+@example(scan=(_quantized_table(1, 2, 0, 0, 150, 0), (0, 0), 150), max_count=8, block=1)
+@example(scan=(_quantized_table(2, 3, -3, 2, 64, 1), (-3, 2), 64), max_count=1, block=16)
 # shifts 2 and 3 each record a defect within a relative 1e-5 of the last, a block later
-@example(m=2, levels=2, lo=-2, width=6, zeta_max=3, max_count=3, block=1, seed=29, r=4.0)
-def test_pruned_return_scan_matches_full_scan(
-    m, levels, lo, width, zeta_max, max_count, block, seed, r
-):
-    rng = np.random.default_rng(seed)
-    hi = lo + width - 1
-    if r is None:
-        # few quantized levels make many shifts tie; only a strict improvement records
-        values = 0.25 * rng.integers(0, levels, (hi + zeta_max - lo + 1, m))
-        seq = TableSequence({lo + k: v for k, v in enumerate(values)})
-    else:
-        # the logistic orbit through an output map, as every bundled scenario runs
-        seq = LogisticSequence(r, rng.uniform(0.01, 0.99), lo, rng.uniform(-2.0, 2.0, m))
+@example(scan=(_logistic(2, 4.0, -2, 29), (-2, 3), 3), max_count=3, block=1)
+# records (1, 2, 4, 6) with defects (0.494, 6.66e-16, 5.55e-16, 0.0): a
+# prefilter without its absolute rounding slack drops shift 4
+@example(
+    scan=(LogisticSequence(3.3, 0.6546884913226735, k_min=0, output_map=[1.4343491343457004]),
+          (380, 381), 2031),
+    max_count=50, block=forcing._SCAN_BLOCK,
+)
+def test_pruned_return_scan_matches_full_scan(scan, max_count, block):
+    seq, (lo, hi), zeta_max = scan
     records, best = [], math.inf
     for zeta in range(1, zeta_max + 1):
         d = recurrence_defect(seq, (lo, hi), zeta)
