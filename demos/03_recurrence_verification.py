@@ -69,9 +69,7 @@ for entry, sup in zip(returns.entries, sups):
 print(f"  threshold {rep_poisson.parameters['eps']:.4f} -> {rep_poisson.passed}")
 
 theta = lift(model, evaluator, grid)
-rep_bound = verify_bound(
-    theta, cert, model.forcing.sup_norm(ts), model.sequence.sup_norm(0, 0).ceiling
-)
+rep_bound = verify_bound(theta, cert, evaluator.sup_forcing, evaluator.sup_sequence)
 print(f"sup-norm bound: {rep_bound.metrics['max_solution_norm']:.2f} <= "
       f"{rep_bound.metrics['bound']:.2f} -> {rep_bound.passed}")
 

@@ -21,9 +21,8 @@ config: ``example`` certifies once, builds one evaluator and scans one return
 window once, so ``returns.json`` and ``verify.json`` report the same shifts.
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage or
-configuration error or any other library error (every
-:class:`~tsdyn.errors.TsdynError`).  Errors emit a one-line JSON record on
-stderr.
+configuration error or any other error the library raises.  Errors emit a
+one-line JSON record on stderr that names the exception type.
 
 Configuration is a single JSON document::
 
@@ -45,9 +44,11 @@ Configuration is a single JSON document::
                   "initial": [0.0, 0.0]}
     }
 
-``gamma`` alternatively takes ``{"kind": "table", "values": {"0": [...]}}``.
-Unknown fields anywhere are rejected.  ``poisson_eps: null`` selects the
-empirical rule ``5 * final_defect + 1e-6``.
+``gamma`` alternatively takes ``{"kind": "table", "values": {"0": [...]}}``
+over one contiguous range of indices.  Unknown fields anywhere are rejected.
+``poisson_eps: null`` selects the empirical rule ``5 * final_defect + 1e-6``;
+``return_window: null`` mines the compact window's interval span extended
+below by the evaluator's ``depth``.
 
 CSV files carry columns ``t, y_1..y_m, branch`` with 17 significant digits;
 ``branch`` is ``interior`` for regular samples and ``right_endpoint_value``
@@ -74,7 +75,7 @@ from typing import Mapping
 import numpy as np
 
 from . import analysis, dynamic, impulsive
-from .errors import ConfigError, TsdynError
+from .errors import ConfigError
 from .forcing import (
     ForcingComponent,
     Harmonic,
@@ -194,15 +195,13 @@ class ScenarioConfig:
         """The return times mined over ``windows.return_window``.
 
         A null window is the interval span of the compact window extended
-        below by ``ceil(evaluator.horizon / stride) + 1`` whole gaps.  It
-        holds every sequence term the evaluator reads on the compact grid:
-        those reach down to ``impulse_index_below(psi(t) - horizon) + 1``
-        and never above the span.
+        below by ``evaluator.depth`` whole gaps, so it holds every sequence
+        term the evaluator reads on the compact grid.
         """
         window = self.windows["return_window"]
         if window is None:
             lo, hi = self.ts.interval_span(*_required(self, "compact_lo", "compact_hi"))
-            window = (lo - math.ceil(self.evaluator.horizon / self.ts.stride) - 1, hi)
+            window = (lo - self.evaluator.depth, hi)
         return find_return_times(
             self.model.sequence, window, self.windows["zeta_max"], self.windows["max_returns"]
         )
@@ -512,9 +511,7 @@ def _cmd_verify(cfg: ScenarioConfig, out: Path) -> int:
         values.sum(axis=-2), returns, lo, hi, grid_step,
         eps=report_poisson.parameters["eps"] + 2.0 * tol,
     )
-    sup_f = model.forcing.sup_norm(ts)
-    sup_seq = impulsive._sequence_ceiling(model.sequence)
-    report_bound = analysis.verify_bound(theta, cert, sup_f, sup_seq)
+    report_bound = analysis.verify_bound(theta, cert, evaluator.sup_forcing, evaluator.sup_sequence)
 
     rng = np.random.default_rng(cfg.windows["stability_seed"])
     y0a = rng.uniform(-1.0, 1.0, model.dimension)
@@ -598,7 +595,7 @@ def main(argv=None) -> int:
         else:
             config = load_config(args.config, args.override)
         return run(args.subcommand, config, args.out)
-    except (TsdynError, ValueError, KeyError) as exc:
+    except Exception as exc:
         print(_error_record(exc), file=sys.stderr)
         return EXIT_USAGE
 

@@ -300,48 +300,54 @@ class LogisticSequence:
 
 
 class TableSequence:
-    """Explicitly tabulated bounded sequence over a finite set of indices."""
+    """Explicitly tabulated bounded sequence over one contiguous index range,
+    stored as its first index and one read-only ``(n, m)`` array of terms."""
 
     def __init__(self, table: Mapping[int, Sequence[float]]) -> None:
         if not table:
             raise ValueError("table must be nonempty")
-        converted: dict[int, np.ndarray] = {}
-        dim = None
-        for k, v in table.items():
-            arr = np.asarray(v, dtype=float)
-            if arr.ndim != 1 or not np.all(np.isfinite(arr)):
-                raise ValueError(f"table entry {k} must be a finite vector")
-            if dim is None:
-                dim = arr.size
-            elif arr.size != dim:
-                raise ValueError("table entries must share one dimension")
-            arr.setflags(write=False)
-            converted[int(k)] = arr
-        self._table = converted
-        self._dim = int(dim)
+        index = {int(k): v for k, v in table.items()}
+        first, last = min(index), max(index)
+        if last - first + 1 != len(index):
+            missing = next(k for k in range(first, last) if k not in index)
+            raise ValueError(
+                f"table indices must form one contiguous range; index {missing} is missing"
+            )
+        try:  # the stack copies, so the caller's arrays stay writable
+            rows = np.array([index[k] for k in range(first, last + 1)], dtype=float)
+        except ValueError:  # ragged
+            rows = np.empty(0)
+        if rows.ndim != 2:
+            raise ValueError("table entries must be vectors of one dimension")
+        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+        if bad.size:
+            raise ValueError(f"table entry {first + int(bad[0])} must be a finite vector")
+        rows.setflags(write=False)
+        self._first = first
+        self._rows = rows
+        self._ceiling = float(np.linalg.norm(rows, axis=1).max())
 
     @property
     def dimension(self) -> int:
-        return self._dim
+        return self._rows.shape[1]
 
     def term(self, k: int) -> np.ndarray:
-        try:
-            return self._table[int(k)]
-        except KeyError:
-            raise KeyError(f"sequence has no entry at index {k}") from None
+        return self.terms(k, k)[0]
 
     def terms(self, k_lo: int, k_hi: int) -> np.ndarray:
-        return np.stack([self.term(k) for k in range(int(k_lo), int(k_hi) + 1)])
+        """Read-only view of the terms ``k_lo..k_hi`` inclusive, shape ``(count, m)``."""
+        lo, hi = int(k_lo) - self._first, int(k_hi) - self._first
+        if lo < 0 or hi >= len(self._rows):
+            k = int(k_lo) if lo < 0 else self._first + len(self._rows)
+            raise KeyError(f"sequence has no entry at index {k}")
+        return self._rows[lo:hi + 1]
 
     def min_index(self) -> int:
-        return min(self._table)
+        return self._first
 
     def sup_norm(self, k_lo: int, k_hi: int) -> SupNormBound:
-        observed = max(
-            float(np.linalg.norm(self.term(k))) for k in range(int(k_lo), int(k_hi) + 1)
-        )
-        ceiling = max(float(np.linalg.norm(v)) for v in self._table.values())
-        return SupNormBound(observed=observed, ceiling=ceiling)
+        observed = float(np.linalg.norm(self.terms(k_lo, k_hi), axis=1).max())
+        return SupNormBound(observed=observed, ceiling=self._ceiling)
 
 
 PoissonSequence = Union[LogisticSequence, TableSequence]

@@ -426,7 +426,11 @@ class BoundedSolutionEvaluator:
     * The whole gaps of the sequence part are truncated at ``horizon``,
       where the certified exponential tail drops below half of ``tol``; the
       other half is margin.  Their sum is one contraction of the stack
-      ``B^j G`` against the sequence terms.
+      ``B^j G`` against the sequence terms.  A point ``s`` reads the terms
+      ``impulse_index_below(s - horizon) + 1 .. impulse_index_below(s) + 1``,
+      at most ``depth = ceil(horizon / stride) + 1`` whole gaps of them.
+      ``horizon`` rests on ``sup_bound``, the :func:`solution_bound` of the
+      ceilings ``sup_forcing`` and ``sup_sequence`` of the two forcings.
 
     :meth:`parts` returns the periodic component and the sequence-driven
     component side by side, both from the same segment exponential;
@@ -448,9 +452,11 @@ class BoundedSolutionEvaluator:
 
         ts = model.ts
         m = model.dimension
-        self.sup_bound = solution_bound(
-            cert, ts, model.forcing.sup_norm(ts), _sequence_ceiling(model.sequence)
-        )
+        seq = model.sequence
+        self.sup_forcing = model.forcing.sup_norm(ts)
+        # a ceiling on every term, whatever index range is scanned
+        self.sup_sequence = seq.sup_norm(seq.min_index(), seq.min_index()).ceiling
+        self.sup_bound = solution_bound(cert, ts, self.sup_forcing, self.sup_sequence)
         if self.sup_bound > 0.0:
             self.horizon = max(
                 ts.stride, math.log(2.0 * self.sup_bound / self.tol) / cert.decay_rate
@@ -475,8 +481,9 @@ class BoundedSolutionEvaluator:
         self._periodic_head = np.linalg.solve(
             np.eye(m) - B, ts.gap * model.forcing_at_impulse + Q @ (F @ self._z0)
         )
-        # a point walks at most horizon/stride + 2 whole gaps (index snapping adds one)
-        stack = np.empty((int(self.horizon // ts.stride) + 3, m, m))
+        # ceil(horizon / stride) gaps cover the horizon; the index snap adds one
+        self.depth = math.ceil(self.horizon / ts.stride) + 1
+        stack = np.empty((self.depth, m, m))
         stack[0] = ts.gap * np.eye(m) + Q @ G
         for j in range(1, stack.shape[0]):
             stack[j] = B @ stack[j - 1]
@@ -500,18 +507,29 @@ class BoundedSolutionEvaluator:
         """
         ts = self.model.ts
         m = self.model.dimension
+        seq = self.model.sequence
         shape = np.shape(s)
         s = np.asarray(s, dtype=float).reshape(-1)
         k_hi = ts.impulse_index_below(s)
-        lengths, which = np.unique(s - ts.impulse_point(k_hi), return_inverse=True)
         # the deepest gap covered starts at impulse_index_below(x - horizon),
         # so the dropped tail lies at distance >= horizon from x
-        depths = k_hi - ts.impulse_index_below(s - self.horizon)
-        keys, walk_of = np.unique(np.stack([k_hi, depths], axis=1), axis=0, return_inverse=True)
+        below = ts.impulse_index_below(s - self.horizon)
+        if s.size and below.min() + 1 < seq.min_index():
+            raise HorizonError(
+                f"truncation horizon needs sequence index {below.min() + 1} but the "
+                f"sequence starts at {seq.min_index()}; deepen the seed index"
+            )
+        lengths, which = np.unique(s - ts.impulse_point(k_hi), return_inverse=True)
+        keys, walk_of = np.unique(np.stack([k_hi, k_hi - below], axis=1), axis=0,
+                                  return_inverse=True)
         size = self._generator.shape[0]
         walks = np.zeros((len(keys), size))
         for row, (k, depth) in zip(walks, keys.tolist()):
-            row[:m], row[-m:] = self._gap_walk(k, depth)
+            # the sum over the depth whole gaps ending at impulse k, and the
+            # term k + 1 driving the partial segment above it
+            terms = seq.terms(k - depth + 1, k + 1)
+            row[:m] = np.einsum("jab,jb->a", self._gap_stack[depth - 1::-1], terms[:-1])
+            row[-m:] = terms[-1]
         weights = np.zeros((s.size, 2, size))
         weights[:, 0, :m] = self._periodic_head
         weights[:, 0, m:-m] = self._z0
@@ -533,26 +551,3 @@ class BoundedSolutionEvaluator:
             block = lengths[i:i + step]
             rows[i:i + len(block)] = matrixkit.expm(block[:, None, None] * self._generator)[:, :m]
         return rows
-
-    def _gap_walk(self, k: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
-        """Sequence sum over the ``depth`` whole gaps ending at impulse ``k``,
-        and the term ``k + 1`` driving the partial segment above it."""
-        seq = self.model.sequence
-        seq_min = seq.min_index()
-        if k - depth + 1 < seq_min:
-            raise HorizonError(
-                f"truncation horizon needs sequence index {k - depth + 1} but the "
-                f"sequence starts at {seq_min}; deepen the seed index"
-            )
-        terms = seq.terms(k - depth + 1, k + 1)
-        head = np.einsum("jab,jb->a", self._gap_stack[depth - 1::-1], terms[:-1])
-        return head, terms[-1]
-
-
-# ----------------------------------------------------------------------
-# helpers
-
-
-def _sequence_ceiling(seq: PoissonSequence) -> float:
-    """Ceiling on every term of the sequence, whatever index range is scanned."""
-    return seq.sup_norm(seq.min_index(), seq.min_index()).ceiling

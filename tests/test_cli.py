@@ -8,6 +8,7 @@ import pytest
 from tsdyn import (
     BoundedSolutionEvaluator,
     ConfigError,
+    TrigForcing,
     as_timescale_function,
     cli,
     compact_grid,
@@ -85,6 +86,12 @@ class TestConfigLoading:
         }
         cfg = parse_config(example_raw)
         assert np.allclose(cfg.model.sequence.term(0), [0.1, 0.2])
+
+    def test_table_with_hole_rejected(self, example_raw):
+        values = {str(k): [0.1, 0.2] for k in range(-20, 40) if k != 5}
+        example_raw["gamma"] = {"kind": "table", "values": values}
+        with pytest.raises(ConfigError, match=r"gamma\.values .*index 5 is missing"):
+            parse_config(example_raw)
 
     def test_overrides(self, example_file):
         cfg = load_config(example_file, ["tolerances.rk_step=0.01", "gamma.z0=0.5"])
@@ -213,6 +220,21 @@ class TestSubcommands:
         # the interval indices covering [1, 17], extended below to the
         # deepest term the evaluator reads there
         assert payload["window"] == [-12, 2]
+        assert payload["window"][0] == 0 - cfg.evaluator.depth
+        assert cfg.evaluator.depth == 12
+
+    def test_verify_samples_the_forcing_once(self, tmp_path, monkeypatch, example_raw):
+        # the bound report reads the evaluator's own ceilings
+        calls = []
+        sup_norm = TrigForcing.sup_norm
+
+        def counting(self, *args):
+            calls.append(args)
+            return sup_norm(self, *args)
+
+        monkeypatch.setattr(TrigForcing, "sup_norm", counting)
+        assert run("verify", parse_config(example_raw), tmp_path) == EXIT_OK
+        assert len(calls) == 1
 
     def test_bounded_and_decompose(self, tmp_path, example_raw):
         example_raw["windows"]["t_end"] = 17.0
@@ -406,6 +428,17 @@ class TestMain:
         ])
         assert code == EXIT_USAGE
         assert json.loads(capsys.readouterr().err.strip())["error"] == error
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_unexpected_error_exits_usage(self, tmp_path, capsys, example_file):
+        # the forcing's derivative bound overflows a float; exit 1 stays
+        # reserved for a failed check
+        code = main([
+            "bounded", "--config", str(example_file), "--out", str(tmp_path),
+            "--override", 'forcing=[{"harmonics":[{"n":1e300,"cos":1.0}]},{}]',
+        ])
+        assert code == EXIT_USAGE
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "OverflowError"
 
     def test_return_window_below_first_index(self, tmp_path, capsys, example_file):
         # the evaluator reads down to index -10, but the null window pads one

@@ -171,6 +171,33 @@ class TestTableSequence:
         with pytest.raises(ValueError):
             TableSequence({0: [1.0], 1: [1.0, 2.0]})
 
+    def test_callers_array_stays_writable(self):
+        a = np.array([1.0, 2.0])
+        seq = TableSequence({0: a})
+        a[0] = 5.0  # the table holds its own copy
+        assert np.array_equal(seq.term(0), [1.0, 2.0])
+        assert not seq.term(0).flags.writeable
+
+    def test_hole_rejected(self):
+        # every reader walks contiguous runs, so a hole is refused up front
+        with pytest.raises(ValueError, match="index 2 is missing"):
+            TableSequence({0: [1.0], 1: [1.0], 3: [1.0], 4: [1.0]})
+
+    def test_non_finite_entry_named(self):
+        with pytest.raises(ValueError, match="entry 3 must be a finite vector"):
+            TableSequence({k: [0.0, math.inf if k == 3 else 1.0] for k in range(2, 6)})
+
+    def test_terms_are_views_of_one_array(self):
+        seq = TableSequence({k: [0.5 * k, 1.0] for k in range(-3, 7)})
+        assert np.shares_memory(seq.terms(-3, 2), seq.terms(0, 6))
+        assert np.array_equal(seq.terms(0, 2), [[0.0, 1.0], [0.5, 1.0], [1.0, 1.0]])
+        assert seq.min_index() == -3
+        observed, ceiling = seq.sup_norm(-3, -3)
+        assert (observed, ceiling) == pytest.approx((math.hypot(1.5, 1.0), math.hypot(3.0, 1.0)))
+        for lo, hi, missing in [(-4, 0, -4), (0, 7, 7)]:
+            with pytest.raises(KeyError, match=f"no entry at index {missing}"):
+                seq.terms(lo, hi)
+
 
 class TestReturnTimes:
     def test_periodic_table(self):

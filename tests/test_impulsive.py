@@ -269,8 +269,9 @@ class TestBoundedSolution:
 
     def test_sup_bound_is_solution_bound(self, model5, cert5, ts5):
         ev = BoundedSolutionEvaluator(model5, cert5, tol=1e-8)
-        sup_seq = model5.sequence.sup_norm(-2000, -2000).ceiling
-        assert ev.sup_bound == solution_bound(cert5, ts5, model5.forcing.sup_norm(ts5), sup_seq)
+        assert ev.sup_forcing == model5.forcing.sup_norm(ts5)
+        assert ev.sup_sequence == model5.sequence.sup_norm(-2000, -2000).ceiling
+        assert ev.sup_bound == solution_bound(cert5, ts5, ev.sup_forcing, ev.sup_sequence)
 
     def test_concurrent_evaluation_matches_serial(self, model5, cert5):
         # more threads than cores and a short switch interval interleave the
@@ -295,8 +296,13 @@ class TestBoundedSolution:
         model = ImpulsiveModel(matrix=ROTATION_A, ts=ts5, forcing=forcing5, sequence=shallow)
         cert = certify(model)
         ev = BoundedSolutionEvaluator(model, cert, tol=1e-8)
-        with pytest.raises(HorizonError):
-            ev.value(2.0)
+        batch = np.array([30.0, 2.0, 9.5])
+        deepest = int(ts5.impulse_index_below(2.0 - ev.horizon)) + 1
+        assert deepest < -4
+        # the batch is checked as a whole: the message names the deepest
+        # index any of its points reads
+        with pytest.raises(HorizonError, match=rf"index {deepest} but .* starts at -4"):
+            ev.value(batch)
 
 
 class TestComponents:

@@ -6,7 +6,8 @@ evaluation agree, the value matches forward integration from deep in the
 past, the periodic component is stride-periodic, the two components sum to
 the full solution, left endpoints evaluated inside a lifted batch are the
 jumps of single-point values, and an instance that has served earlier calls
-gives the bits of a fresh one.  The blocked RK4 scan agrees with a plain
+gives the bits of a fresh one; no point walks more whole gaps than the
+evaluator's depth.  The blocked RK4 scan agrees with a plain
 per-step RK4 loop, stable or not, and the early-abandoning return-time scan
 finds exactly the records of a full scan, on table and logistic sequences."""
 
@@ -39,6 +40,7 @@ from tsdyn import (
 )
 from tsdyn import forcing, impulsive, matrixkit
 from tsdyn.impulsive import _rk4_scan
+from tsdyn.timescale import _BOUNDARY_RTOL
 
 # Deterministic example generation keeps the suite reproducible.
 PROPERTY_SETTINGS = settings(
@@ -99,6 +101,7 @@ def _scale(y) -> float:
 @given(model=stable_models(), s=points)
 def test_batched_matches_single_point(model, s):
     ev = BoundedSolutionEvaluator(model, certify(model), TOL)
+    assert ev.depth == math.ceil(ev.horizon / model.ts.stride) + 1
     batched = ev.value(s)
     single = np.array([ev.value(x) for x in s])
     assert batched.shape == (len(s), model.dimension)
@@ -219,6 +222,40 @@ def test_agrees_with_deep_past_integration(model, s):
     ev = BoundedSolutionEvaluator(model, certify(model), TOL)
     traj = integrate(model, np.zeros(model.dimension), s - ev.horizon, s, 2.5e-3)
     assert np.linalg.norm(ev.value(s) - traj.value(s)) <= TOL
+
+
+@st.composite
+def scales_horizons_points(draw):
+    """A time scale, a horizon (random, a whole number of strides, or one
+    within 1e-13 relative of it) and points with |s| up to 1e6: random ones,
+    impulse points and points a horizon above an impulse point, each moved
+    by up to 1e-12 or by up to 1.5 times the index snap's tolerance."""
+    period = draw(st.floats(0.5, 20.0))
+    gap = draw(st.floats(0.05, 0.95)) * period
+    anchor = draw(st.floats(0.0, 0.99)) * (period - gap)
+    ts = TimeScaleSpec(anchor=anchor, period=period, gap=gap)
+    whole = draw(st.integers(1, 60)) * ts.stride
+    h = draw(st.sampled_from([whole, whole * (1.0 + 1e-13), whole * (1.0 - 1e-13)])
+             | st.floats(ts.stride, 60.0 * ts.stride))
+    impulses = st.integers(-int(1e6 / ts.stride), int(1e6 / ts.stride)).map(ts.impulse_point)
+    base = st.floats(-1e6, 1e6) | impulses | impulses.map(lambda x: x + h)
+    nudge = st.sampled_from([0.0, 1e-12, -1e-12]) | st.floats(-1e-12, 1e-12)
+    # the snap takes a quotient q = (x - anchor) / stride within
+    # _BOUNDARY_RTOL * max(1, |q|) of a whole number as whole; here x = s - h
+    snapped = st.floats(-1.5, 1.5).map(lambda f: f * _BOUNDARY_RTOL * ts.stride)
+    s = np.array(draw(st.lists(st.tuples(base, nudge, snapped), min_size=1, max_size=50)))
+    scale = np.maximum(1.0, np.abs(s[:, 0] - h - ts.anchor) / ts.stride)
+    return ts, h, s[:, 0] + s[:, 1] + s[:, 2] * scale
+
+
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(case=scales_horizons_points())
+def test_walk_depth_bound(case):
+    # the evaluator's gap stack holds depth = ceil(h / stride) + 1 entries:
+    # no point walks more whole gaps than that, index snap included
+    ts, h, s = case
+    walked = ts.impulse_index_below(s) - ts.impulse_index_below(s - h)
+    assert walked.max() <= math.ceil(h / ts.stride) + 1
 
 
 @st.composite
