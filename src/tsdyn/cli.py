@@ -22,7 +22,9 @@ window once, so ``returns.json`` and ``verify.json`` report the same shifts.
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage or
 configuration error or any other error the library raises.  Errors emit a
-one-line JSON record on stderr that names the exception type.
+one-line JSON record on stderr that names the exception type.  A run computes
+every output before it writes any: an error (exit 2) leaves no file, not even
+the output directory, and a failed check (exit 1) writes its report.
 
 Configuration is a single JSON document::
 
@@ -430,14 +432,14 @@ def _write_json(path: Path, payload) -> None:
 
 
 # ----------------------------------------------------------------------
-# subcommands
+# subcommands: each maps a config to its verdict and its outputs, a file name
+# to a solution (.csv) or a JSON-able dict (.json); run writes them
 
 
-def _cmd_check(cfg: ScenarioConfig, out: Path) -> int:
+def _cmd_check(cfg: ScenarioConfig) -> tuple[bool, dict]:
     ok, assumptions = cfg.assumptions
     certificate = asdict(cfg.certificate) if ok else None
-    _write_json(out / "check.json", {**assumptions, "certificate": certificate})
-    return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
+    return ok, {"check.json": {**assumptions, "certificate": certificate}}
 
 
 def _required(cfg: ScenarioConfig, *names: str) -> list:
@@ -448,13 +450,12 @@ def _required(cfg: ScenarioConfig, *names: str) -> list:
     return values
 
 
-def _cmd_simulate(cfg: ScenarioConfig, out: Path) -> int:
+def _cmd_simulate(cfg: ScenarioConfig) -> tuple[bool, dict]:
     t0, t_end = _required(cfg, "t0", "t_end")
     initial = cfg.windows["initial"]
     y0 = np.zeros(cfg.model.dimension) if initial is None else initial
     sol = dynamic.simulate_dynamic(cfg.model, y0, t0, t_end, cfg.tolerances["rk_step"])
-    write_solution_csv(out / "trajectory.csv", sol)
-    return EXIT_OK
+    return True, {"trajectory.csv": sol}
 
 
 def _scenario_grid(cfg: ScenarioConfig) -> list[float]:
@@ -462,31 +463,25 @@ def _scenario_grid(cfg: ScenarioConfig) -> list[float]:
     return analysis.compact_grid(cfg.ts, t0, t_end, cfg.tolerances["grid_step"])
 
 
-def _cmd_bounded(cfg: ScenarioConfig, out: Path) -> int:
-    sol = dynamic.lift(cfg.model, cfg.evaluator, _scenario_grid(cfg))
-    write_solution_csv(out / "bounded.csv", sol)
-    return EXIT_OK
+def _cmd_bounded(cfg: ScenarioConfig) -> tuple[bool, dict]:
+    return True, {"bounded.csv": dynamic.lift(cfg.model, cfg.evaluator, _scenario_grid(cfg))}
 
 
-def _cmd_decompose(cfg: ScenarioConfig, out: Path) -> int:
+def _cmd_decompose(cfg: ScenarioConfig) -> tuple[bool, dict]:
     theta1, theta2 = dynamic.decompose(cfg.model, cfg.evaluator, _scenario_grid(cfg))
-    write_solution_csv(out / "theta1.csv", theta1)
-    write_solution_csv(out / "theta2.csv", theta2)
-    return EXIT_OK
+    return True, {"theta1.csv": theta1, "theta2.csv": theta2}
 
 
-def _cmd_returns(cfg: ScenarioConfig, out: Path) -> int:
-    _write_json(out / "returns.json", cfg.returns.to_dict())
-    return EXIT_OK
+def _cmd_returns(cfg: ScenarioConfig) -> tuple[bool, dict]:
+    return True, {"returns.json": cfg.returns.to_dict()}
 
 
-def _cmd_verify(cfg: ScenarioConfig, out: Path) -> int:
+def _cmd_verify(cfg: ScenarioConfig) -> tuple[bool, dict]:
     model, ts = cfg.model, cfg.ts
     tol = cfg.tolerances["eval_tol"]
     ok, assumptions = cfg.assumptions
     if not ok:
-        _write_json(out / "verify.json", {"assumptions": assumptions})
-        return EXIT_VERIFICATION_FAILED
+        return False, {"verify.json": {"assumptions": assumptions}}
     cert = cfg.certificate
 
     lo, hi = _required(cfg, "compact_lo", "compact_hi")
@@ -526,9 +521,8 @@ def _cmd_verify(cfg: ScenarioConfig, out: Path) -> int:
         report_periodic, report_poisson, report_bound, report_stability,
         poisson_full=report_poisson_full, tol=tol,
     )
-    _write_json(
-        out / "verify.json",
-        {
+    return aggregate.passed, {
+        "verify.json": {
             "periodicity": report_periodic.to_dict(),
             "poisson": report_poisson.to_dict(),
             "poisson_full_solution": report_poisson_full.to_dict(),
@@ -536,18 +530,16 @@ def _cmd_verify(cfg: ScenarioConfig, out: Path) -> int:
             "stability": report_stability.to_dict(),
             "mpps": aggregate.to_dict(),
         },
-    )
-    return EXIT_OK if aggregate.passed else EXIT_VERIFICATION_FAILED
+    }
 
 
-def _cmd_example(cfg: ScenarioConfig, out: Path) -> int:
-    status = _cmd_check(cfg, out)
-    if status != EXIT_OK:
-        return status
-    _cmd_bounded(cfg, out)
-    _cmd_decompose(cfg, out)
-    _cmd_returns(cfg, out)
-    return _cmd_verify(cfg, out)
+def _cmd_example(cfg: ScenarioConfig) -> tuple[bool, dict]:
+    passed, outputs = _cmd_check(cfg)
+    if passed:
+        for stage in (_cmd_bounded, _cmd_decompose, _cmd_returns, _cmd_verify):
+            passed, stage_outputs = stage(cfg)  # only verify's verdict can fail
+            outputs.update(stage_outputs)
+    return passed, outputs
 
 
 _SUBCOMMANDS = {
@@ -562,12 +554,18 @@ _SUBCOMMANDS = {
 
 
 def run(subcommand: str, config: ScenarioConfig, out_dir) -> int:
-    """Run one subcommand against a validated configuration."""
+    """Run one subcommand on a validated configuration; write once all is computed."""
     if subcommand not in _SUBCOMMANDS:
         raise ConfigError([f"unknown subcommand {subcommand!r}"])
+    passed, outputs = _SUBCOMMANDS[subcommand](config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return _SUBCOMMANDS[subcommand](config, out)
+    for name, payload in outputs.items():
+        if name.endswith(".csv"):
+            write_solution_csv(out / name, payload)
+        else:
+            _write_json(out / name, payload)
+    return EXIT_OK if passed else EXIT_VERIFICATION_FAILED
 
 
 def _error_record(exc: Exception) -> str:

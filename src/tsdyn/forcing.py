@@ -147,23 +147,19 @@ class TrigForcing:
                 C[i, slot[h.n] + 1] += h.sin_coeff
         return C, W, z0
 
-    def sup_norm(self, ts: TimeScaleSpec | None = None) -> float:
-        """Certified upper bound on the supremum of ``||value(t)||`` over one period.
+    def sup_norm(self, ts: TimeScaleSpec) -> float:
+        """Certified upper bound on the supremum of ``||value(t)||`` on the scale.
 
-        With a time-scale spec the maximization is restricted to the scale
-        (one closed interval per period); otherwise the full period is used.
+        The maximization runs over the scale's one closed interval per period.
         The squared norm ``q`` is sampled on a uniform grid of ``_SUP_GRID``
         nodes and spacing ``h`` that contains both ends.  A maximizer is
         either a sampled end or a zero of ``q'`` within ``h/2`` of a sample,
         where ``q`` lies at most ``h^2/8 * sup|q''|`` below it, and
         ``|q''| <= 2 (D1^2 + D0 D2)`` with ``Dk = derivative_bound(k)``.
         """
-        if ts is None:
-            lo, hi = 0.0, self.period
-        else:
-            if ts.period != self.period:
-                raise ValueError("time-scale period differs from forcing period")
-            lo, hi = ts.endpoint(-1), ts.endpoint(0)
+        if ts.period != self.period:
+            raise ValueError("time-scale period differs from forcing period")
+        lo, hi = ts.endpoint(-1), ts.endpoint(0)
         pts = np.linspace(lo, hi, _SUP_GRID)
         peak = float(np.max(np.sum(self.value_many(pts) ** 2, axis=1)))
         h = (hi - lo) / (_SUP_GRID - 1)
@@ -512,9 +508,10 @@ def find_return_times(
     else:
         z = None
         rows = seq.terms(lo, hi + zeta_max).__getitem__
-    best = math.inf
-    records: list[ReturnEntry] = []
-    for start in range(1, zeta_max + 1, _SCAN_BLOCK):
+    # shift 1 records (unless its defect overflows), so it bounds every block
+    best = recurrence_defect(seq, (lo, hi), 1)
+    records = [ReturnEntry(zeta=1, defect=best)] if best < math.inf else []
+    for start in range(2, zeta_max + 1, _SCAN_BLOCK):
         zetas = np.arange(start, min(start + _SCAN_BLOCK, zeta_max + 1))
         if z is not None:
             zetas = _scalar_survivors(z, c, width, zetas, best)

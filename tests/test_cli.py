@@ -407,7 +407,7 @@ class TestMain:
 
     @pytest.mark.parametrize("error", LIBRARY_ERRORS, ids=lambda cls: cls.__name__)
     def test_library_error_exits_usage(self, tmp_path, capsys, monkeypatch, example_file, error):
-        def failing(cfg, out):
+        def failing(cfg):
             raise error("injected failure")
 
         monkeypatch.setitem(cli._SUBCOMMANDS, "check", failing)
@@ -452,6 +452,41 @@ class TestMain:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "HorizonError"
         assert "[-12, 2]" in record["message"] and "-11" in record["message"]
+
+    @pytest.mark.parametrize(
+        "override, error",
+        [("gamma.k_min=-5", "HorizonError"), ("windows.zeta_max=0", "ValueError"),
+         ("windows.stability_periods=1", "ValueError"),
+         ("windows.return_window=[5,2]", "ValueError")],
+    )
+    def test_failed_example_leaves_no_output(self, tmp_path, capsys, example_file, override,
+                                             error):
+        # each fails in a late stage of example, after the check passed; a run
+        # computes every output before it writes any
+        out = tmp_path / "out"
+        code = main(["example", "--config", str(example_file), "--out", str(out),
+                     "--override", override])
+        assert code == EXIT_USAGE
+        assert json.loads(capsys.readouterr().err.strip())["error"] == error
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "subcommand, name, keys",
+        [("example", "check.json", {"A1", "A2", "certificate"}),
+         ("verify", "verify.json", {"assumptions"})],
+    )
+    def test_failed_check_writes_its_report(self, tmp_path, example_file, subcommand, name,
+                                            keys):
+        # a non-contractive matrix fails A2: the run exits 1 and writes the
+        # report of the failed check alone
+        out = tmp_path / "out"
+        code = main([subcommand, "--config", str(example_file), "--out", str(out),
+                     "--override", "matrix=[[0.4, 0.0], [0.0, 0.4]]"])
+        assert code == EXIT_VERIFICATION_FAILED
+        assert [path.name for path in out.iterdir()] == [name]
+        payload = json.loads((out / name).read_text())
+        assert set(payload) == keys
+        assert payload.get("certificate") is None  # check.json names no certificate
 
     def test_default_return_window_needs_certificate(self, tmp_path, capsys, example_file):
         # a null window reaches as deep as the evaluator reads, so mining it

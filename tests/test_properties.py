@@ -379,6 +379,8 @@ def return_scans(draw):
 )
 @example(scan=(_quantized_table(1, 2, 0, 0, 150, 0), (0, 0), 150), max_count=8, block=1)
 @example(scan=(_quantized_table(2, 3, -3, 2, 64, 1), (-3, 2), 64), max_count=1, block=16)
+# shift 1 alone: the scan records it before its blocks, which are then empty
+@example(scan=(_logistic(2, 3.9, -2, 3), (-2, 1), 1), max_count=3, block=1)
 # shifts 2 and 3 each record a defect within a relative 1e-5 of the last, a block later
 @example(scan=(_logistic(2, 4.0, -2, 29), (-2, 3), 3), max_count=3, block=1)
 # records (1, 2, 4, 6) with defects (0.494, 6.66e-16, 5.55e-16, 0.0): a
