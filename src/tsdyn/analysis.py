@@ -86,22 +86,23 @@ def verify_periodic(values: np.ndarray, period: float, tol: float) -> Verificati
 
 
 def compact_grid(ts: TimeScaleSpec, lo: float, hi: float, grid_step: float) -> list[float]:
-    """Grid over ``[lo, hi]`` intersected with the scale, endpoints included."""
+    """Grid over ``[lo, hi]`` intersected with the scale, endpoints included: the
+    part ``[a, b]`` of each interval holds ``a + (b - a) * i / n`` for ``i < n``
+    and ``b``.  Counted first, so a grid too large to index raises at once."""
     if hi < lo:
         raise ValueError(f"empty compact window [{lo}, {hi}]")
     if grid_step <= 0.0:
         raise ValueError(f"grid_step must be positive, got {grid_step!r}")
-    pts: list[float] = []
     k_lo, k_hi = ts.interval_span(lo, hi)
-    for k in range(k_lo, k_hi + 1):
-        a = max(ts.endpoint(2 * k - 1), lo)
-        b = min(ts.endpoint(2 * k), hi)
-        if b < a:
-            continue
-        n = max(1, math.ceil((b - a) / grid_step))
-        pts.extend(float(a + (b - a) * i / n) for i in range(n))
-        pts.append(float(b))
-    return sorted(set(pts))
+    ends = ts.endpoint(np.arange(2 * k_lo - 1, 2 * k_hi + 1))  # left, right of each k
+    a, b = np.maximum(ends[0::2], lo), np.minimum(ends[1::2], hi)
+    a, b = a[a <= b], b[a <= b]
+    n = np.maximum(1, np.ceil((b - a) / grid_step))
+    slot = np.arange(np.sum(n + 1))  # ValueError if too many to index
+    r = np.repeat(np.arange(n.size), (n + 1).astype(np.int64))  # n points and b
+    i = slot - (np.cumsum(n + 1) - (n + 1))[r]
+    pts = np.where(i < n[r], a[r] + (b - a)[r] * i / n[r], b[r])
+    return sorted(set(pts.tolist()))
 
 
 def verify_poisson(

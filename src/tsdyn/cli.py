@@ -389,7 +389,7 @@ def write_solution_csv(path: Path, sol: dynamic.TimeScaleSolution) -> None:
     """
     m = sol.dimension
     keys = sorted(sol.endpoint_values)
-    t_endpoint = np.array([sol.ts.endpoint(2 * k + 1) for k in keys], dtype=float)
+    t_endpoint = sol.ts.endpoint(2 * np.array(keys, dtype=np.int64) + 1)
     # the interior samples increase strictly, so a merge places each endpoint
     # row in front of the first interior row at or after its t; no sort
     endpoint_rows = np.searchsorted(sol.t, t_endpoint) + np.arange(len(keys))

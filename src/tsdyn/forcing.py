@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -67,6 +68,10 @@ class TrigForcing:
     """Vector-valued trigonometric polynomial with a fixed period.
 
     ``value(t + period) == value(t)`` holds identically by construction.
+    Evaluation, derivative bounds and the realization read one coefficient
+    table: the increasing harmonic orders of all components, and the matrix
+    whose row ``i`` is component ``i``'s constant, then its cos and its sin
+    coefficient of each order (a repeated order adds up).
     """
 
     period: float
@@ -93,59 +98,55 @@ class TrigForcing:
         """Evaluate the forcing vector at time ``t``."""
         return self.value_many(np.array([float(t)]))[0]
 
+    @cached_property
+    def _table(self) -> tuple[tuple[int, ...], np.ndarray]:
+        """The read-only coefficient table ``(orders, coeffs)``, built on first use."""
+        orders = sorted({h.n for comp in self.components for h in comp.harmonics})
+        slot = {n: 1 + 2 * j for j, n in enumerate(orders)}
+        coeffs = np.zeros((self.dimension, 1 + 2 * len(orders)))
+        for i, comp in enumerate(self.components):
+            coeffs[i, 0] = comp.constant
+            for h in comp.harmonics:
+                coeffs[i, slot[h.n]:slot[h.n] + 2] += (h.cos_coeff, h.sin_coeff)
+        coeffs.setflags(write=False)
+        return tuple(orders), coeffs
+
     def value_many(self, ts: np.ndarray) -> np.ndarray:
         """Evaluate at an array of times; returns shape ``(len(ts), m)``."""
         ts = np.asarray(ts, dtype=float)
+        orders, coeffs = self._table
         base = 2.0 * np.pi / self.period
+        # column 1 + j multiplies waves[j]; only the used waves, once for all rows
+        waves = {j: (np.sin if j % 2 else np.cos)(base * orders[j // 2] * ts)
+                 for j in np.flatnonzero(coeffs[:, 1:].any(axis=0)).tolist()}
         out = np.empty((ts.size, self.dimension))
-        for i, comp in enumerate(self.components):
-            acc = np.full(ts.shape, comp.constant)
-            for h in comp.harmonics:
-                phase = base * h.n * ts
-                if h.cos_coeff:
-                    acc = acc + h.cos_coeff * np.cos(phase)
-                if h.sin_coeff:
-                    acc = acc + h.sin_coeff * np.sin(phase)
-            out[:, i] = acc
+        for i, row in enumerate(coeffs):  # the constant, then one add per term
+            terms = (row[1 + j] * waves[j] for j in np.flatnonzero(row[1:]).tolist())
+            out[:, i] = sum(terms, np.full(ts.shape, row[0]))
         return out
 
     def derivative_bound(self, order: int) -> float:
         """Upper bound on the 2-norm of the order-th derivative of the forcing."""
-        per_comp = []
-        for comp in self.components:
-            total = abs(comp.constant) if order == 0 else 0.0
-            for h in comp.harmonics:
-                freq = 2.0 * np.pi * h.n / self.period
-                total += (abs(h.cos_coeff) + abs(h.sin_coeff)) * freq ** order
-            per_comp.append(total)
-        return float(np.linalg.norm(per_comp))
+        orders, coeffs = self._table
+        weights = np.abs(coeffs[:, 1::2]) + np.abs(coeffs[:, 2::2])  # a column per order
+        total = np.abs(coeffs[:, 0]) if order == 0 else np.zeros(self.dimension)
+        for j, n in enumerate(orders):
+            total = total + weights[:, j] * (2.0 * np.pi * n / self.period) ** order
+        return float(np.linalg.norm(total))
 
     def realization(self, t0: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Linear realization ``(C, W, z0)`` with ``value(t0 + u) = C expm(W u) z0``.
 
-        The state stacks ``1`` and the pair ``cos, sin`` of every harmonic
-        order present in any component, so ``z' = W z`` where ``W`` rotates
+        ``C`` is the coefficient table.  The state stacks ``1`` and the pair
+        ``cos, sin`` of each of its orders, so ``z' = W z`` where ``W`` rotates
         each pair at its angular frequency and ``z0`` is the state at ``t0``.
         """
-        orders = sorted({h.n for comp in self.components for h in comp.harmonics})
-        slot = {n: 1 + 2 * i for i, n in enumerate(orders)}
-        size = 1 + 2 * len(orders)
-        C = np.zeros((self.dimension, size))
-        W = np.zeros((size, size))
-        z0 = np.zeros(size)
-        z0[0] = 1.0
+        orders, coeffs = self._table
         base = 2.0 * np.pi / self.period
-        for n, j in slot.items():
-            W[j, j + 1] = -base * n
-            W[j + 1, j] = base * n
-            z0[j] = math.cos(base * n * t0)
-            z0[j + 1] = math.sin(base * n * t0)
-        for i, comp in enumerate(self.components):
-            C[i, 0] = comp.constant
-            for h in comp.harmonics:
-                C[i, slot[h.n]] += h.cos_coeff
-                C[i, slot[h.n] + 1] += h.sin_coeff
-        return C, W, z0
+        z0 = np.array([1.0, *(f(base * n * t0) for n in orders for f in (math.cos, math.sin))])
+        sub = np.zeros(z0.size - 1)  # W[i + 1, i]: a pair's frequency at its cos slot i
+        sub[1::2] = base * np.array(orders, dtype=float)
+        return coeffs, np.diag(sub, -1) - np.diag(sub, 1), z0
 
     def sup_norm(self, ts: TimeScaleSpec) -> float:
         """Certified upper bound on the supremum of ``||value(t)||`` on the scale.

@@ -117,7 +117,7 @@ class TimeScaleSpec:
       bookkeeping (``psi(0) == 0`` in particular) relies on it, so violating
       specs are rejected rather than re-anchored.
 
-    ``locate``, ``contains``, ``psi``, ``impulse_point`` and
+    ``endpoint``, ``locate``, ``contains``, ``psi``, ``impulse_point`` and
     ``impulse_index_below`` act elementwise on arrays; a scalar is the 0-d
     case and returns a Python ``int``, ``float`` or ``str``.  Indices beyond
     ``2**52`` raise, so ``k * period`` stays exact.
@@ -159,13 +159,11 @@ class TimeScaleSpec:
     # ------------------------------------------------------------------
     # endpoints and membership
 
-    def endpoint(self, k: int) -> float:
+    def endpoint(self, k):
         """Interval endpoint with signed index ``k`` (odd: left, even: right)."""
-        k = _checked_index(k)
-        if k % 2 == 0:
-            return self.anchor + (k // 2) * self.period
-        j = (k + 1) // 2  # k = 2j - 1
-        return self.anchor + self.gap + (j - 1) * self.period
+        k = np.asarray(_checked_index(k))
+        left = self.anchor + self.gap + ((k + 1) // 2 - 1) * self.period  # j = (k + 1) // 2
+        return _scalar(np.where(k % 2 == 0, self.anchor + (k // 2) * self.period, left))
 
     def interval_span(self, lo: float, hi: float) -> tuple[int, int]:
         """Interval indices ``floor((lo - anchor) / period)`` and

@@ -457,7 +457,9 @@ class TestMain:
         "override, error",
         [("gamma.k_min=-5", "HorizonError"), ("windows.zeta_max=0", "ValueError"),
          ("windows.stability_periods=1", "ValueError"),
-         ("windows.return_window=[5,2]", "ValueError")],
+         ("windows.return_window=[5,2]", "ValueError"),
+         # grids too large to index: numpy refuses the count before any point
+         ("tolerances.grid_step=1e-300", "ValueError"), ("windows.t_end=1e300", "ValueError")],
     )
     def test_failed_example_leaves_no_output(self, tmp_path, capsys, example_file, override,
                                              error):

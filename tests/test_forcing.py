@@ -79,6 +79,37 @@ class TestTrigForcing:
         assert forcing5.derivative_bound(2) == pytest.approx(want, rel=1e-12)
 
 
+class TestCoefficientTable:
+    # order 1 listed twice and after order 3; 0.2 + 0.1 rounds up to
+    # 0.30000000000000004, so adding the two terms one by one rounds apart
+    # from one term with the merged coefficient
+    REPEATED = TrigForcing(8.0, (
+        ForcingComponent(0.3, (Harmonic(3, 0.2, 0.1), Harmonic(1, 0.2), Harmonic(1, 0.1))),
+        ForcingComponent(-0.7),
+    ))
+    MERGED = TrigForcing(8.0, (
+        ForcingComponent(0.3, (Harmonic(1, 0.2 + 0.1), Harmonic(3, 0.2, 0.1))),
+        ForcingComponent(-0.7),
+    ))
+
+    def test_repeated_order_adds_up(self):
+        t = np.linspace(-8.0, 8.0, 1001)
+        assert np.array_equal(self.REPEATED.value_many(t), self.MERGED.value_many(t))
+        for order in range(3):
+            assert self.REPEATED.derivative_bound(order) == self.MERGED.derivative_bound(order)
+        C, W, z0 = self.REPEATED.realization(0.7)
+        assert np.array_equal(C, self.MERGED.realization(0.7)[0])
+        assert C.shape == (2, 5) and C[0, 1] == 0.2 + 0.1
+
+    def test_table_is_read_only_and_shared(self, forcing5):
+        C = forcing5.realization(0.0)[0]
+        assert not C.flags.writeable
+        with pytest.raises(ValueError):
+            C[0, 0] = 1.0
+        for t0 in (4.3, -11.0, 1e6):
+            assert forcing5.realization(t0)[0] is C
+
+
 class TestLogisticSequence:
     def test_orbit_start(self):
         seq = LogisticSequence(3.9, 0.5, k_min=0, output_map=(1.0, 2.0))

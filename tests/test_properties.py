@@ -31,6 +31,7 @@ from tsdyn import (
     certify,
     check_contractive_period,
     check_invertible_jump,
+    compact_grid,
     decompose,
     find_return_times,
     integrate,
@@ -401,3 +402,99 @@ def test_pruned_return_scan_matches_full_scan(scan, max_count, block):
     with mock.patch.object(forcing, "_SCAN_BLOCK", block):  # many blocks per scan
         got = find_return_times(seq, (lo, hi), zeta_max, max_count)
     assert [(e.zeta, e.defect) for e in got.entries] == records[-max_count:]
+
+
+def reference_value_many(forcing, t):
+    """The walk over each component's harmonics that the coefficient table replaced."""
+    base = 2.0 * np.pi / forcing.period
+    out = np.empty((t.size, forcing.dimension))
+    for i, comp in enumerate(forcing.components):
+        acc = np.full(t.shape, comp.constant)
+        for h in comp.harmonics:
+            phase = base * h.n * t
+            if h.cos_coeff:
+                acc = acc + h.cos_coeff * np.cos(phase)
+            if h.sin_coeff:
+                acc = acc + h.sin_coeff * np.sin(phase)
+        out[:, i] = acc
+    return out
+
+
+def reference_derivative_bound(forcing, order):
+    per_comp = []
+    for comp in forcing.components:
+        total = abs(comp.constant) if order == 0 else 0.0
+        for h in comp.harmonics:
+            freq = 2.0 * np.pi * h.n / forcing.period
+            total += (abs(h.cos_coeff) + abs(h.sin_coeff)) * freq ** order
+        per_comp.append(total)
+    return float(np.linalg.norm(per_comp))
+
+
+@PROPERTY_SETTINGS
+@given(model=stable_models(), t0=st.floats(-20.0, 20.0),
+       u=st.lists(st.floats(0.0, 8.0), min_size=1, max_size=6))
+def test_forcing_reads_one_table(model, t0, u):
+    # the realization's closed form matches value_many; with each component's
+    # orders listed in increasing order, value_many and derivative_bound give
+    # the bits of the per-harmonic walk, and listing order does not matter
+    f = model.forcing
+    t = t0 + np.array(u)
+    C, W, z0 = f.realization(t0)
+    closed = np.stack([C @ matrixkit.expm(x * W) @ z0 for x in u])
+    assert np.max(np.abs(closed - f.value_many(t))) <= 1e-13
+    ordered = TrigForcing(f.period, tuple(
+        ForcingComponent(c.constant, tuple(sorted(c.harmonics, key=lambda h: h.n)))
+        for c in f.components
+    ))
+    assert np.array_equal(ordered.value_many(t), reference_value_many(ordered, t))
+    assert np.array_equal(f.value_many(t), ordered.value_many(t))
+    for order in range(3):
+        assert ordered.derivative_bound(order) == reference_derivative_bound(ordered, order)
+
+
+def reference_compact_grid(ts, lo, hi, grid_step):
+    """The loop over intervals and points that the array grid replaced."""
+    pts = []
+    k_lo, k_hi = ts.interval_span(lo, hi)
+    for k in range(k_lo, k_hi + 1):
+        a = max(ts.endpoint(2 * k - 1), lo)
+        b = min(ts.endpoint(2 * k), hi)
+        if b < a:
+            continue
+        n = max(1, math.ceil((b - a) / grid_step))
+        pts.extend(float(a + (b - a) * i / n) for i in range(n))
+        pts.append(float(b))
+    return sorted(set(pts))
+
+
+@st.composite
+def grid_windows(draw):
+    """A scale, a step and a window: anywhere, inside a hole, of zero length
+    at an interval end, or spanning hundreds of intervals."""
+    period = draw(st.floats(0.5, 20.0))
+    gap = draw(st.floats(0.05, 0.95)) * period
+    anchor = draw(st.sampled_from([0.0]) | st.floats(0.0, 0.99)) * (period - gap)
+    ts = TimeScaleSpec(anchor=anchor, period=period, gap=gap)
+    step = draw(st.floats(0.01, 2.0)) * period
+    k = draw(st.integers(-1000, 1000))
+    kind = draw(st.sampled_from(["any", "hole", "end", "span"]))
+    if kind == "hole":
+        a, b = sorted(draw(st.lists(st.floats(0.01, 0.99), min_size=2, max_size=2)))
+        lo, hi = ts.endpoint(2 * k) + gap * a, ts.endpoint(2 * k) + gap * b
+    elif kind == "end":
+        lo = hi = ts.endpoint(draw(st.sampled_from([2 * k - 1, 2 * k])))
+    else:
+        lo = draw(st.floats(-1e3, 1e3) | st.just(-0.0))
+        hi = lo + period * draw(st.floats(100.0, 500.0) if kind == "span" else st.floats(0.0, 5.0))
+    return ts, lo, hi, step
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(case=grid_windows())
+def test_compact_grid_matches_point_loop(case):
+    # the same floats in the same order, signed zeros included
+    ts, lo, hi, step = case
+    got, want = compact_grid(ts, lo, hi, step), reference_compact_grid(ts, lo, hi, step)
+    assert all(type(x) is float for x in got)
+    assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))

@@ -294,6 +294,19 @@ class TestArrayForms:
         assert _snapped_ceil(u).tolist() == [_snapped_ceil(x) for x in u.tolist()]
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(scales_and_points(), st.lists(st.integers(-2 * 10 ** 6, 2 * 10 ** 6), max_size=16))
+    def test_endpoint_array_matches_scalar(self, case, ks):
+        ts, _ = case
+        got = ts.endpoint(np.array(ks, dtype=np.int64))
+        assert got.dtype == np.float64 and got.shape == (len(ks),)
+        scalar = [ts.endpoint(k) for k in ks]
+        assert all(type(x) is float for x in scalar)
+        assert same_bits(got, scalar)
+        # the two per-parity formulas, in Python ints and floats
+        assert scalar == [ts.anchor + (k // 2) * ts.period if k % 2 == 0
+                          else ts.anchor + ts.gap + ((k + 1) // 2 - 1) * ts.period for k in ks]
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(scales_and_points())
     def test_sample_index_array_matches_scalar(self, case):
         _, t = case
