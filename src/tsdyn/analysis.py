@@ -93,12 +93,18 @@ def compact_grid(ts: TimeScaleSpec, lo: float, hi: float, grid_step: float) -> l
         raise ValueError(f"empty compact window [{lo}, {hi}]")
     if grid_step <= 0.0:
         raise ValueError(f"grid_step must be positive, got {grid_step!r}")
+    too_many = f"grid of [{lo}, {hi}] at grid_step={grid_step}: {{:.6g}} {{}}, too many to index"
     k_lo, k_hi = ts.interval_span(lo, hi)
+    if 2 * (k_hi - k_lo + 1) > np.iinfo(np.intp).max:
+        raise ValueError(too_many.format(2 * (k_hi - k_lo + 1), "interval ends"))
     ends = ts.endpoint(np.arange(2 * k_lo - 1, 2 * k_hi + 1))  # left, right of each k
     a, b = np.maximum(ends[0::2], lo), np.minimum(ends[1::2], hi)
     a, b = a[a <= b], b[a <= b]
     n = np.maximum(1, np.ceil((b - a) / grid_step))
-    slot = np.arange(np.sum(n + 1))  # ValueError if too many to index
+    total = np.sum(n + 1)
+    if total > np.iinfo(np.intp).max:
+        raise ValueError(too_many.format(total, "points"))
+    slot = np.arange(total)
     r = np.repeat(np.arange(n.size), (n + 1).astype(np.int64))  # n points and b
     i = slot - (np.cumsum(n + 1) - (n + 1))[r]
     pts = np.where(i < n[r], a[r] + (b - a)[r] * i / n[r], b[r])

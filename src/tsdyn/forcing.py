@@ -4,9 +4,12 @@ piecewise-constant inputs, plus return-time mining for recurrence sequences.
 The continuous forcing is restricted to trigonometric polynomials in
 ``2*pi*n*t/period`` so periodicity holds by construction.  The
 piecewise-constant forcing takes the value ``sequence.term(k)`` on the k-th
-interval of the time scale.  Sequences come in two variants: a logistic-map
-orbit pushed through a linear output map, and an explicit integer-indexed
-table.
+interval of the time scale.  Sequences come in two kinds, a logistic-map
+orbit pushed through a linear output map and an explicit integer-indexed
+table, and every reader uses only the members both have: ``dimension``,
+``min_index()``, ``term(k)``, ``terms(lo, hi)``, the ``ceiling`` on every
+term's norm and ``rank_one(lo, hi)``: ``(z, C)`` with every ``|z_k| <= 1``
+and ``terms(lo, hi) == np.outer(z, C)``, or ``None`` for a kind without it.
 """
 
 from __future__ import annotations
@@ -190,8 +193,8 @@ class LogisticSequence:
     """Bounded vector sequence built from a logistic-map orbit.
 
     The orbit ``z[k+1] = r * z[k] * (1 - z[k])`` is seeded with ``z0`` at
-    index ``k_min`` and only extends forward; terms are
-    ``output_map * z[k]``.  Orbit values are memoized in an append-only
+    index ``k_min`` and only extends forward; terms are ``C * z[k]`` with
+    ``C = output_map``.  Orbit values are memoized in an append-only
     cache guarded by a lock, so concurrent readers observe the same values
     as a sequential run.
 
@@ -221,6 +224,7 @@ class LogisticSequence:
         self._k_min = int(k_min)
         self._output = out.copy()
         self._output.setflags(write=False)
+        self._ceiling = float(np.linalg.norm(self._output))
         self._lock = threading.Lock()
         self._orbit = np.array([z0])
         self._orbit.setflags(write=False)
@@ -234,26 +238,19 @@ class LogisticSequence:
         return self._z0
 
     @property
-    def k_min(self) -> int:
-        return self._k_min
-
-    @property
-    def output_map(self) -> np.ndarray:
-        return self._output
-
-    @property
     def dimension(self) -> int:
         return self._output.size
 
-    def orbit(self, count: int) -> np.ndarray:
-        """First ``count`` orbit values starting at index ``k_min``."""
-        if count < 1:
-            raise ValueError(f"count must be >= 1, got {count}")
-        return self._values(self._k_min, self._k_min + count - 1).copy()
+    @property
+    def ceiling(self) -> float:
+        """``||C||``: the orbit stays in [0, 1], so no term's norm exceeds it."""
+        return self._ceiling
 
-    def _values(self, k_lo: int, k_hi: int) -> np.ndarray:
-        """Read-only view of the orbit z[k_lo..k_hi] (inclusive), growing the
-        cache as needed.  A grown cache is a new array, so a view never changes."""
+    def rank_one(self, k_lo: int, k_hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only orbit ``z[k_lo..k_hi]`` (inclusive, in [0, 1]) and the
+        output map ``C``, with ``terms(k_lo, k_hi) == np.outer(z, C)``.  A grown
+        cache is a new array, so a returned orbit never changes."""
+        k_lo, k_hi = int(k_lo), int(k_hi)
         if k_lo < self._k_min:
             raise ValueError(
                 f"sequence index {k_lo} precedes the seed index {self._k_min}; "
@@ -269,31 +266,23 @@ class LogisticSequence:
                     grown = np.concatenate((old, np.fromiter(tail, float, count)))
                     grown.setflags(write=False)
                     self._orbit = grown
-        lo = k_lo - self._k_min
-        return self._orbit[lo: k_hi - self._k_min + 1]
-
-    def term(self, k: int) -> np.ndarray:
-        """Sequence value at integer index ``k`` (k >= k_min)."""
-        z = self._values(int(k), int(k))[0]
-        return self._output * z
+        return self._orbit[k_lo - self._k_min: needed], self._output
 
     def terms(self, k_lo: int, k_hi: int) -> np.ndarray:
         """Stacked terms for ``k_lo..k_hi`` inclusive, shape ``(count, m)``."""
-        z = self._values(int(k_lo), int(k_hi))
-        return np.outer(z, self._output)
+        return np.outer(*self.rank_one(k_lo, k_hi))
+
+    def term(self, k: int) -> np.ndarray:
+        """Sequence value at integer index ``k`` (k >= the seed index)."""
+        return self.terms(k, k)[0]
 
     def min_index(self) -> int:
         return self._k_min
 
     def sup_norm(self, k_lo: int, k_hi: int) -> SupNormBound:
-        """Max term norm over ``[k_lo, k_hi]`` plus the ceiling ``||output_map||``.
-
-        The ceiling certifies the supremum over the whole (bi-infinite)
-        sequence since the orbit stays inside the unit interval.
-        """
-        z = self._values(int(k_lo), int(k_hi))
-        scale = float(np.linalg.norm(self._output))
-        return SupNormBound(observed=scale * float(np.max(z)), ceiling=scale)
+        """Max term norm ``ceiling * max z`` over ``[k_lo, k_hi]``, plus the ceiling."""
+        z, _ = self.rank_one(k_lo, k_hi)
+        return SupNormBound(observed=self.ceiling * float(np.max(z)), ceiling=self.ceiling)
 
 
 class TableSequence:
@@ -328,6 +317,14 @@ class TableSequence:
     def dimension(self) -> int:
         return self._rows.shape[1]
 
+    @property
+    def ceiling(self) -> float:
+        """The largest term norm of the table."""
+        return self._ceiling
+
+    def rank_one(self, k_lo: int, k_hi: int) -> None:  # a table has no rank-one form
+        return None
+
     def term(self, k: int) -> np.ndarray:
         return self.terms(k, k)[0]
 
@@ -344,7 +341,7 @@ class TableSequence:
 
     def sup_norm(self, k_lo: int, k_hi: int) -> SupNormBound:
         observed = float(np.linalg.norm(self.terms(k_lo, k_hi), axis=1).max())
-        return SupNormBound(observed=observed, ceiling=self._ceiling)
+        return SupNormBound(observed=observed, ceiling=self.ceiling)
 
 
 PoissonSequence = Union[LogisticSequence, TableSequence]
@@ -408,22 +405,23 @@ def recurrence_defect(seq: PoissonSequence, window: tuple[int, int], zeta: int) 
 # per block, and the per-block temporaries stay near a MiB at m = 8.
 _SCAN_BLOCK = 1 << 14
 
-# Rounding slack of the scalar prefilter of a logistic scan: relative and
-# absolute (in units of ||output_map||) bounds on how far a computed row norm
-# of two terms' difference can sit from ||output_map|| * |dz|.
+# Rounding slack of the scalar prefilter of a rank-one scan: relative and
+# absolute (in units of ||C||) bounds on how far a computed row norm of two
+# rank-one terms' difference can sit from ||C|| * |dz|.
 _REL = 1e-12
 _ABS = 1e-14
 
 
 def _scalar_survivors(
-    z: np.ndarray, c: float, width: int, zetas: np.ndarray, best: float
+    z: np.ndarray, C: np.ndarray, width: int, zetas: np.ndarray, best: float
 ) -> np.ndarray:
-    """The shifts of one block of a logistic scan that may still record.
+    """The shifts of one block of a rank-one scan that may still record.
 
     ``sd`` is each shift's running maximum of ``|z[offset + zeta] - z[offset]|``
-    and ``[c*(sd(1 - _REL) - _ABS), c*(sd(1 + _REL) + _ABS)]`` brackets its
-    computed vector defect (proof in :func:`find_return_times`).
+    and, with ``c = ||C||``, ``[c*(sd(1 - _REL) - _ABS), c*(sd(1 + _REL) + _ABS)]``
+    brackets its computed vector defect (proof in :func:`find_return_times`).
     """
+    c = float(np.linalg.norm(C))
     sd = np.zeros(zetas.size)
     for offset in range(width):
         np.maximum(sd, np.abs(z[offset + zetas] - z[offset]), out=sd)
@@ -465,14 +463,16 @@ def find_return_times(
     and the maximum is exact, so the records, their defects and the tie rule
     (a tie never records) are those of the full scan.
 
-    A :class:`LogisticSequence` has rank-one terms ``C z_k``, so its scan
-    reads the orbit ``z`` and builds rows ``np.outer(z[idx], C)`` only for
-    the shifts that pass a scalar prefilter first.  With ``c = ||C||`` and
+    A scalar prefilter runs for any sequence whose ``rank_one`` gives
+    ``(z, C)`` (a :class:`LogisticSequence`; a table gives ``None`` and is
+    scanned by rows alone).  Its terms are ``C z_k``, so the scan reads ``z``
+    and builds rows ``np.outer(z[idx], C)`` only for the shifts that pass
+    the prefilter first.  With ``c = ||C||`` and
     ``sd`` a shift's running maximum of ``|z[offset + zeta] - z[offset]|``,
     its computed defect ``d`` lies in ``[lb, ub]``, ``lb = c*(sd(1 - 1e-12)
     - 1e-14)`` and ``ub = c*(sd(1 + 1e-12) + 1e-14)``: the row norm of
     ``fl(z_a C) - fl(z_b C)`` is within ``2u||C|| + (m + 4)u ||C|| |dz|`` of
-    ``||C|| |dz|`` for ``z`` in [0, 1] (``u`` the unit roundoff), which
+    ``||C|| |dz|`` for ``|z| <= 1`` (``u`` the unit roundoff), which
     these slacks cover for ``m`` up to about 9000.  The prefilter drops a
     shift once ``lb >= best`` (then ``d >= best``), and after the offsets
     every shift whose ``lb`` is not below the least ``ub`` of the block's
@@ -499,23 +499,18 @@ def find_return_times(
         )
 
     width = hi - lo + 1
-    if isinstance(seq, LogisticSequence):
-        z = seq._values(lo, hi + zeta_max)  # indices lo .. hi+zeta_max
-        C = seq.output_map
-        c = float(np.linalg.norm(C))
+    rank = seq.rank_one(lo, hi + zeta_max)  # indices lo .. hi+zeta_max
+    table = seq.terms(lo, hi + zeta_max) if rank is None else None
 
-        def rows(idx):
-            return np.outer(z[idx], C)
-    else:
-        z = None
-        rows = seq.terms(lo, hi + zeta_max).__getitem__
+    def rows(idx):
+        return table[idx] if rank is None else np.outer(rank[0][idx], rank[1])
     # shift 1 records (unless its defect overflows), so it bounds every block
     best = recurrence_defect(seq, (lo, hi), 1)
     records = [ReturnEntry(zeta=1, defect=best)] if best < math.inf else []
     for start in range(2, zeta_max + 1, _SCAN_BLOCK):
         zetas = np.arange(start, min(start + _SCAN_BLOCK, zeta_max + 1))
-        if z is not None:
-            zetas = _scalar_survivors(z, c, width, zetas, best)
+        if rank is not None:
+            zetas = _scalar_survivors(*rank, width, zetas, best)
         defects = np.zeros(zetas.size)
         for offset in range(width):
             if zetas.size == 0:

@@ -452,10 +452,8 @@ class BoundedSolutionEvaluator:
 
         ts = model.ts
         m = model.dimension
-        seq = model.sequence
         self.sup_forcing = model.forcing.sup_norm(ts)
-        # a ceiling on every term, whatever index range is scanned
-        self.sup_sequence = seq.sup_norm(seq.min_index(), seq.min_index()).ceiling
+        self.sup_sequence = model.sequence.ceiling
         self.sup_bound = solution_bound(cert, ts, self.sup_forcing, self.sup_sequence)
         if self.sup_bound > 0.0:
             self.horizon = max(

@@ -458,7 +458,7 @@ class TestMain:
         [("gamma.k_min=-5", "HorizonError"), ("windows.zeta_max=0", "ValueError"),
          ("windows.stability_periods=1", "ValueError"),
          ("windows.return_window=[5,2]", "ValueError"),
-         # grids too large to index: numpy refuses the count before any point
+         # grids too large to index: counted before any point, the record names the step
          ("tolerances.grid_step=1e-300", "ValueError"), ("windows.t_end=1e300", "ValueError")],
     )
     def test_failed_example_leaves_no_output(self, tmp_path, capsys, example_file, override,
@@ -469,7 +469,10 @@ class TestMain:
         code = main(["example", "--config", str(example_file), "--out", str(out),
                      "--override", override])
         assert code == EXIT_USAGE
-        assert json.loads(capsys.readouterr().err.strip())["error"] == error
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == error
+        if override.startswith(("tolerances.grid_step", "windows.t_end")):
+            assert "grid_step" in record["message"] and "[0.0, " in record["message"]
         assert not out.exists()
 
     @pytest.mark.parametrize(

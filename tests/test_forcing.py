@@ -113,7 +113,10 @@ class TestCoefficientTable:
 class TestLogisticSequence:
     def test_orbit_start(self):
         seq = LogisticSequence(3.9, 0.5, k_min=0, output_map=(1.0, 2.0))
-        assert np.allclose(seq.orbit(2), [0.5, 0.975])
+        z, C = seq.rank_one(0, 1)
+        assert np.allclose(z, [0.5, 0.975])
+        assert np.array_equal(C, [1.0, 2.0])
+        assert np.allclose(seq.terms(0, 1), [[0.5, 1.0], [0.975, 1.95]])
 
     def test_term_with_output_map(self):
         seq = LogisticSequence(3.9, 0.5, k_min=0, output_map=(1.0, 2.0))
@@ -125,8 +128,10 @@ class TestLogisticSequence:
 
     def test_confinement(self):
         seq = LogisticSequence(3.9, 0.4, k_min=0, output_map=(1.0,))
-        orbit = seq.orbit(10_000)
+        orbit = seq.rank_one(0, 9_999)[0]
+        assert orbit.size == 10_000
         assert np.all((orbit >= 0.0) & (orbit <= 1.0))
+        assert np.array_equal(seq.terms(0, 9_999)[:, 0], orbit)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -157,10 +162,13 @@ class TestLogisticSequence:
             reference.append(z)
         seq = LogisticSequence(r, 0.4, k_min=-7, output_map=(1.0,))
         for count in (1, 2, 3, 17, 130, 2_500, 10_000):  # several cache growths
-            assert seq.orbit(count).tolist() == reference[:count]
+            assert seq.rank_one(-7, count - 8)[0].tolist() == reference[:count]
+            assert seq.terms(-7, count - 8)[:, 0].tolist() == reference[:count]
         assert seq.terms(-7, 9_992)[:, 0].tolist() == reference
-        seq.orbit(3)[:] = 0.0  # a caller's copy, not the cache
-        assert seq.orbit(3).tolist() == reference[:3]
+        z = seq.rank_one(-7, -5)[0]
+        with pytest.raises(ValueError):  # a reader cannot write the cache
+            z[:] = 0.0
+        assert seq.rank_one(-7, -5)[0].tolist() == reference[:3]
 
     def test_concurrent_reads_match_sequential(self):
         from concurrent.futures import ThreadPoolExecutor
@@ -181,9 +189,13 @@ class TestLogisticSequence:
         # orbit maximum is at most r/4 = 0.975 after the first step
         assert observed <= scale * 0.975 + 1e-12
         assert observed == pytest.approx(2.18, abs=0.01)
-        # oracle: direct scan of the orbit
-        orbit = sequence5.orbit(10_001)
+        # oracles: direct scans of the orbit and of the term norms
+        orbit = sequence5.rank_one(-2000, 8000)[0]
+        assert orbit.size == 10_001
         assert observed == pytest.approx(scale * float(np.max(orbit)), rel=1e-12)
+        norms = np.linalg.norm(sequence5.terms(-2000, 8000), axis=1)
+        assert observed == pytest.approx(float(np.max(norms)), rel=1e-12)
+        assert ceiling == sequence5.ceiling
 
 
 class TestTableSequence:
@@ -284,7 +296,7 @@ class TestReturnTimes:
 
     def test_logistic_scan_never_builds_the_term_table(self):
         seq = LogisticSequence(3.9, 0.4, k_min=0, output_map=np.linspace(0.5, 2.0, 8))
-        seq._values(0, 20 + 200_000)  # the orbit is grown before measuring
+        seq.rank_one(0, 20 + 200_000)  # the orbit is grown before measuring
         tracemalloc.start()
         try:
             returns = find_return_times(seq, (0, 20), 200_000)

@@ -12,12 +12,15 @@ from tsdyn import (
     HorizonError,
     ImpulsiveModel,
     LogisticSequence,
+    TableSequence,
     TrigForcing,
     certify,
     check_contractive_period,
     check_invertible_jump,
+    find_return_times,
     integrate,
     matriciant,
+    recurrence_defect,
     solution_bound,
 )
 from tsdyn.matrixkit import expm, spectral_norm
@@ -382,3 +385,33 @@ class TestModelValidation:
                 matrix=ROTATION_A, ts=ts5,
                 forcing=TrigForcing.zero(2, 6.0), sequence=sequence5,
             )
+
+
+class InterfaceOnly:
+    """A sequence kind with only the members every reader may use: no
+    ``sup_norm``, no private state of a library kind."""
+
+    def __init__(self, table: TableSequence) -> None:
+        self.dimension, self.ceiling = table.dimension, table.ceiling
+        self.min_index, self.term, self.terms = table.min_index, table.term, table.terms
+
+    def rank_one(self, k_lo, k_hi):
+        return None
+
+
+def test_any_kind_with_the_interface_runs(ts5, forcing5):
+    rng = np.random.default_rng(11)
+    table = TableSequence({k: rng.uniform(-1.0, 1.0, 2) for k in range(-400, 401)})
+    wrapped = InterfaceOnly(table)
+    models = [ImpulsiveModel(matrix=ROTATION_A, ts=ts5, forcing=forcing5, sequence=seq)
+              for seq in (table, wrapped)]
+    cert = certify(models[1])
+    s = np.linspace(-20.0, 20.0, 161)
+    want, got = (BoundedSolutionEvaluator(model, cert, 1e-8) for model in models)
+    assert got.sup_sequence == want.sup_sequence == table.ceiling
+    assert got.parts(s).tobytes() == want.parts(s).tobytes()
+    assert models[1].jump(3, s[:2]).tobytes() == models[0].jump(3, s[:2]).tobytes()
+    returns = find_return_times(wrapped, (0, 20), 300, max_count=8)
+    assert returns == find_return_times(table, (0, 20), 300, max_count=8)
+    for entry in returns.entries:
+        assert entry.defect == recurrence_defect(wrapped, (0, 20), entry.zeta)

@@ -9,7 +9,8 @@ jumps of single-point values, and an instance that has served earlier calls
 gives the bits of a fresh one; no point walks more whole gaps than the
 evaluator's depth.  The blocked RK4 scan agrees with a plain
 per-step RK4 loop, stable or not, and the early-abandoning return-time scan
-finds exactly the records of a full scan, on table and logistic sequences."""
+finds exactly the records of a full scan, on table and logistic sequences,
+whose rank-one form (logistic only) gives the bits of their terms."""
 
 import math
 from unittest import mock
@@ -402,6 +403,22 @@ def test_pruned_return_scan_matches_full_scan(scan, max_count, block):
     with mock.patch.object(forcing, "_SCAN_BLOCK", block):  # many blocks per scan
         got = find_return_times(seq, (lo, hi), zeta_max, max_count)
     assert [(e.zeta, e.defect) for e in got.entries] == records[-max_count:]
+
+
+@PROPERTY_SETTINGS
+@given(
+    m=st.integers(1, 8), r=st.floats(2.9, 4.0), k_min=st.integers(-50, 50),
+    offset=st.integers(0, 300), count=st.integers(1, 200), seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_rank_one_gives_the_terms(m, r, k_min, offset, count, seed):
+    seq = _logistic(m, r, k_min, seed)
+    lo, hi = k_min + offset, k_min + offset + count - 1
+    z, C = seq.rank_one(lo, hi)
+    assert z.shape == (count,) and not z.flags.writeable
+    assert np.outer(z, C).tobytes() == seq.terms(lo, hi).tobytes()
+    for i in (0, count - 1):  # a term is the output map times its orbit value
+        assert seq.term(lo + i).tobytes() == (C * z[i]).tobytes()
+    assert _quantized_table(m, 3, lo, hi, 0, seed).rank_one(lo, hi) is None
 
 
 def reference_value_many(forcing, t):
