@@ -20,8 +20,8 @@ for t in (0.0, 1.0, 2.5, 4.0):
     if ts.contains(t):
         j = ts.jump_operators(t)
         kind = (
-            "right-scattered" if j.point_class.right_scattered else
-            "left-scattered" if j.point_class.left_scattered else "dense"
+            "right-scattered" if j.right_scattered else
+            "left-scattered" if j.left_scattered else "dense"
         )
         print(f"  t = {t:4.1f}: in the scale, {kind:15s} sigma = {j.sigma:4.1f}, rho = {j.rho:4.1f}")
     else:

@@ -64,8 +64,8 @@ for s in (2.0, 6.5, 11.0):
           f"disagreement {np.linalg.norm(conv - deep):.1e}")
 
 grid = compact_grid(ts, -4.0, 20.0, 0.05)
-theta = lift(model, evaluator, grid)
-theta1, theta2 = decompose(model, evaluator, grid)
+theta = lift(evaluator, grid)
+theta1, theta2 = decompose(evaluator, grid)
 print(f"\non the scale: {theta.t.size} samples, "
       f"{len(theta.endpoint_values)} endpoint values")
 print(f"periodic part sup   : {theta1.max_norm():.3f}")

@@ -48,7 +48,7 @@ for entry in returns.entries:
 
 tol = 1e-8
 evaluator = BoundedSolutionEvaluator(model, cert, tol)
-parts = as_timescale_function(model, evaluator)  # rows [periodic, sequence]
+parts = as_timescale_function(evaluator)  # rows [periodic, sequence]
 
 lo, hi, step = 1.0, 17.0, 0.05
 grid = compact_grid(ts, lo, hi, step)
@@ -68,7 +68,7 @@ for entry, sup in zip(returns.entries, sups):
     print(f"  shift {entry.zeta:6d}: sup difference {sup:.4f}")
 print(f"  threshold {rep_poisson.parameters['eps']:.4f} -> {rep_poisson.passed}")
 
-theta = lift(model, evaluator, grid)
+theta = lift(evaluator, grid)
 rep_bound = verify_bound(theta, cert, evaluator.sup_forcing, evaluator.sup_sequence)
 print(f"sup-norm bound: {rep_bound.metrics['max_solution_norm']:.2f} <= "
       f"{rep_bound.metrics['bound']:.2f} -> {rep_bound.passed}")

@@ -51,7 +51,7 @@ from .impulsive import (
     matriciant,
     solution_bound,
 )
-from .timescale import JumpInfo, PointClass, TimeScaleSpec
+from .timescale import JumpInfo, TimeScaleSpec
 
 __version__ = "0.1.0"
 
@@ -67,7 +67,6 @@ __all__ = [
     "JumpInfo",
     "LogisticSequence",
     "MissingSampleError",
-    "PointClass",
     "ReturnTimeSet",
     "StabilityCert",
     "SupNormBound",

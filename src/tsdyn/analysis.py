@@ -88,27 +88,36 @@ def verify_periodic(values: np.ndarray, period: float, tol: float) -> Verificati
 def compact_grid(ts: TimeScaleSpec, lo: float, hi: float, grid_step: float) -> list[float]:
     """Grid over ``[lo, hi]`` intersected with the scale, endpoints included: the
     part ``[a, b]`` of each interval holds ``a + (b - a) * i / n`` for ``i < n``
-    and ``b``.  Counted first, so a grid too large to index raises at once."""
+    and ``b``.  Counted first, so a grid too large to index raises at once; one
+    too large to hold raises the same way once an allocation fails."""
     if hi < lo:
         raise ValueError(f"empty compact window [{lo}, {hi}]")
     if grid_step <= 0.0:
         raise ValueError(f"grid_step must be positive, got {grid_step!r}")
-    too_many = f"grid of [{lo}, {hi}] at grid_step={grid_step}: {{:.6g}} {{}}, too many to index"
+
+    def too_many(limit: str) -> ValueError:
+        return ValueError(f"grid of [{lo}, {hi}] at grid_step={grid_step}: "
+                          f"{count:.6g} {what}, too many to {limit}")
+
     k_lo, k_hi = ts.interval_span(lo, hi)
-    if 2 * (k_hi - k_lo + 1) > np.iinfo(np.intp).max:
-        raise ValueError(too_many.format(2 * (k_hi - k_lo + 1), "interval ends"))
-    ends = ts.endpoint(np.arange(2 * k_lo - 1, 2 * k_hi + 1))  # left, right of each k
-    a, b = np.maximum(ends[0::2], lo), np.minimum(ends[1::2], hi)
-    a, b = a[a <= b], b[a <= b]
-    n = np.maximum(1, np.ceil((b - a) / grid_step))
-    total = np.sum(n + 1)
-    if total > np.iinfo(np.intp).max:
-        raise ValueError(too_many.format(total, "points"))
-    slot = np.arange(total)
-    r = np.repeat(np.arange(n.size), (n + 1).astype(np.int64))  # n points and b
-    i = slot - (np.cumsum(n + 1) - (n + 1))[r]
-    pts = np.where(i < n[r], a[r] + (b - a)[r] * i / n[r], b[r])
-    return sorted(set(pts.tolist()))
+    count, what = 2 * (k_hi - k_lo + 1), "interval ends"
+    try:
+        if count > np.iinfo(np.intp).max:
+            raise too_many("index")
+        ends = ts.endpoint(np.arange(2 * k_lo - 1, 2 * k_hi + 1))  # left, right of each k
+        a, b = np.maximum(ends[0::2], lo), np.minimum(ends[1::2], hi)
+        a, b = a[a <= b], b[a <= b]
+        n = np.maximum(1, np.ceil((b - a) / grid_step))
+        count, what = np.sum(n + 1), "points"
+        if count > np.iinfo(np.intp).max:
+            raise too_many("index")
+        slot = np.arange(count)
+        r = np.repeat(np.arange(n.size), (n + 1).astype(np.int64))  # n points and b
+        i = slot - (np.cumsum(n + 1) - (n + 1))[r]
+        pts = np.where(i < n[r], a[r] + (b - a)[r] * i / n[r], b[r])
+        return sorted(set(pts.tolist()))
+    except MemoryError as err:
+        raise too_many("hold") from err
 
 
 def verify_poisson(

@@ -464,11 +464,11 @@ def _scenario_grid(cfg: ScenarioConfig) -> list[float]:
 
 
 def _cmd_bounded(cfg: ScenarioConfig) -> tuple[bool, dict]:
-    return True, {"bounded.csv": dynamic.lift(cfg.model, cfg.evaluator, _scenario_grid(cfg))}
+    return True, {"bounded.csv": dynamic.lift(cfg.evaluator, _scenario_grid(cfg))}
 
 
 def _cmd_decompose(cfg: ScenarioConfig) -> tuple[bool, dict]:
-    theta1, theta2 = dynamic.decompose(cfg.model, cfg.evaluator, _scenario_grid(cfg))
+    theta1, theta2 = dynamic.decompose(cfg.evaluator, _scenario_grid(cfg))
     return True, {"theta1.csv": theta1, "theta2.csv": theta2}
 
 
@@ -489,12 +489,12 @@ def _cmd_verify(cfg: ScenarioConfig) -> tuple[bool, dict]:
     grid = analysis.compact_grid(ts, lo, hi, grid_step)
 
     evaluator = cfg.evaluator
-    theta = dynamic.lift(model, evaluator, grid)
+    theta = dynamic.lift(evaluator, grid)
     returns = cfg.returns
     # one batch: the compact grid (row 0), its copy one period on (row 1) and
     # its return-shifted copies (rows 2 on)
     shifts = ts.period * np.array([0, 1, *returns.zetas])
-    values = dynamic.as_timescale_function(model, evaluator)(np.add.outer(shifts, grid))
+    values = dynamic.as_timescale_function(evaluator)(np.add.outer(shifts, grid))
     report_periodic = analysis.verify_periodic(
         values[:2, :, 0], ts.period, cfg.tolerances["period_tol"]
     )

@@ -3,7 +3,9 @@ equation as the impulsive march read back on the scale, the bounded
 solution and its periodic/Poisson split pulled back through the psi
 substitution, and delta-derivative residuals.
 
-``lift``, ``decompose`` and ``as_timescale_function`` share one path onto
+``lift``, ``decompose`` and ``as_timescale_function`` take the evaluator
+alone and read the model it was built on (``evaluator.model``), so the
+points are evaluated and jumped with one model.  They share one path onto
 the scale: one ``locate`` call and one evaluator batch, a regular point at
 ``psi(t)`` and a left endpoint at the impulse before it, whose row then
 takes the jump (:meth:`ImpulsiveModel.jump`) to give the right limit.
@@ -26,7 +28,6 @@ from .impulsive import BoundedSolutionEvaluator, ImpulsiveModel, _march
 from .timescale import (
     GAP,
     LEFT_ENDPOINT,
-    RIGHT_ENDPOINT,
     TimeScaleSpec,
     sample_index,
 )
@@ -136,6 +137,11 @@ def simulate_dynamic(
     )
 
 
+def _grid(t_grid: Sequence[float]) -> np.ndarray:
+    """The points of ``t_grid`` sorted, each once."""
+    return np.array(sorted(set(float(t) for t in t_grid)))
+
+
 def _on_scale(model: ImpulsiveModel, points, evaluate):
     """``evaluate`` at points of the scale in one batch, elementwise: a regular
     point at ``psi(t)``, which rejects points off the scale, and a left endpoint
@@ -155,28 +161,22 @@ def _on_scale(model: ImpulsiveModel, points, evaluate):
     return values.reshape(np.shape(points) + values.shape[1:]), left, k - 1
 
 
-def _lifted(model: ImpulsiveModel, t: np.ndarray, y, left, jumps) -> TimeScaleSolution:
+def _lifted(ts: TimeScaleSpec, t: np.ndarray, y, left, jumps) -> TimeScaleSolution:
     """A lifted solution from ``_on_scale`` values at the points ``t``: the
     values at left endpoints go to the endpoint map, keyed by their jump."""
     ends = dict(zip(jumps[left].tolist(), y[left]))
-    return TimeScaleSolution(model.ts, t[~left], y[~left], ends, "lifted")
+    return TimeScaleSolution(ts, t[~left], y[~left], ends, "lifted")
 
 
-def lift(
-    model: ImpulsiveModel,
-    evaluator: BoundedSolutionEvaluator,
-    t_grid: Sequence[float],
-) -> TimeScaleSolution:
-    """The bounded solution on a grid of the time scale, from one batched
-    :meth:`BoundedSolutionEvaluator.value` call."""
-    t = np.array(sorted(set(float(t) for t in t_grid)))
-    return _lifted(model, t, *_on_scale(model, t, evaluator.value))
+def lift(evaluator: BoundedSolutionEvaluator, t_grid: Sequence[float]) -> TimeScaleSolution:
+    """The bounded solution of the evaluator's model on a grid of the time
+    scale, from one batched :meth:`BoundedSolutionEvaluator.value` call."""
+    model, t = evaluator.model, _grid(t_grid)
+    return _lifted(model.ts, t, *_on_scale(model, t, evaluator.value))
 
 
 def decompose(
-    model: ImpulsiveModel,
-    evaluator: BoundedSolutionEvaluator,
-    t_grid: Sequence[float],
+    evaluator: BoundedSolutionEvaluator, t_grid: Sequence[float]
 ) -> tuple[TimeScaleSolution, TimeScaleSolution]:
     """Split the bounded solution into periodic and Poisson parts on a grid.
 
@@ -184,21 +184,19 @@ def decompose(
     left endpoint each part takes its own share of the jump.  The two parts
     sum to the lift of the full bounded solution up to round-off.
     """
-    t = np.array(sorted(set(float(t) for t in t_grid)))
+    model, t = evaluator.model, _grid(t_grid)
     parts, left, jumps = _on_scale(model, t, evaluator.parts)
-    return tuple(_lifted(model, t, parts[:, i], left, jumps) for i in (0, 1))
+    return tuple(_lifted(model.ts, t, parts[:, i], left, jumps) for i in (0, 1))
 
 
-def as_timescale_function(
-    model: ImpulsiveModel, evaluator: BoundedSolutionEvaluator
-) -> Callable:
+def as_timescale_function(evaluator: BoundedSolutionEvaluator) -> Callable:
     """Wrap an evaluator's parts as a function on the whole time scale.
 
     The function takes one point or an array of points and returns the
     parts ``[periodic, sequence]`` with shape ``points.shape + (2, m)``;
     summing over the parts axis gives the full bounded solution.
     """
-    return lambda t: _on_scale(model, t, evaluator.parts)[0]
+    return lambda t: _on_scale(evaluator.model, t, evaluator.parts)[0]
 
 
 def delta_residual(model: ImpulsiveModel, sol: TimeScaleSolution, t: float) -> float:
@@ -211,14 +209,12 @@ def delta_residual(model: ImpulsiveModel, sol: TimeScaleSolution, t: float) -> f
     the residual is expected to scale with the mesh step.
     """
     ts = model.ts
-    k, code = ts.locate(t)
-    if code == GAP:
-        raise TimeScaleDomainError(f"t={t!r} is not in the time scale")
+    jump = ts.jump_operators(t)  # raises off the scale
+    k = ts.locate(t)[0]
     y_t = sol.value(t)
     rhs = model.matrix @ y_t + model.forcing.value(t) + model.sequence.term(k)
-    if code == RIGHT_ENDPOINT:
-        y_next = sol.value(ts.endpoint(2 * k + 1))
-        quotient = (y_next - y_t) / ts.gap
+    if jump.right_scattered:
+        quotient = (sol.value(jump.sigma) - y_t) / ts.gap
         return float(np.linalg.norm(quotient - rhs))
     # the sample after t's own; a left endpoint keeps its value in the
     # endpoint map, so its neighbour is the first sample above it

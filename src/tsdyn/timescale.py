@@ -81,28 +81,29 @@ def _snapped_ceil(u):
 
 
 @dataclass(frozen=True)
-class PointClass:
-    """Density/scatter flags of a time-scale point on each side."""
-
-    right_dense: bool
-    right_scattered: bool
-    left_dense: bool
-    left_scattered: bool
-
-    def __post_init__(self) -> None:
-        if self.right_dense == self.right_scattered:
-            raise ValueError("exactly one of right_dense/right_scattered must hold")
-        if self.left_dense == self.left_scattered:
-            raise ValueError("exactly one of left_dense/left_scattered must hold")
-
-
-@dataclass(frozen=True)
 class JumpInfo:
-    """Forward/backward jump values together with the point classification."""
+    """A point ``t`` of the scale with its forward jump ``sigma`` and backward
+    jump ``rho``; the density/scatter classification on each side follows."""
 
+    t: float
     sigma: float
     rho: float
-    point_class: PointClass
+
+    @property
+    def right_scattered(self) -> bool:
+        return self.sigma > self.t
+
+    @property
+    def right_dense(self) -> bool:
+        return not self.right_scattered
+
+    @property
+    def left_scattered(self) -> bool:
+        return self.rho < self.t
+
+    @property
+    def left_dense(self) -> bool:
+        return not self.left_scattered
 
 
 @dataclass(frozen=True)
@@ -216,7 +217,7 @@ class TimeScaleSpec:
     # jump operators
 
     def jump_operators(self, t: float) -> JumpInfo:
-        """Forward/backward jump values and the point classification at ``t``.
+        """Forward/backward jump values at ``t``, which classify the point.
 
         Interior points are dense on both sides.  Right endpoints are
         right-scattered (sigma jumps over the hole) and left-dense; left
@@ -225,19 +226,9 @@ class TimeScaleSpec:
         k, code = self.locate(t)
         if code == GAP:
             raise TimeScaleDomainError(f"t={t!r} is not in the time scale")
-        if code == RIGHT_ENDPOINT:
-            return JumpInfo(
-                sigma=self.endpoint(2 * k + 1),
-                rho=t,
-                point_class=PointClass(False, True, True, False),
-            )
-        if code == LEFT_ENDPOINT:
-            return JumpInfo(
-                sigma=t,
-                rho=self.endpoint(2 * k - 2),
-                point_class=PointClass(True, False, False, True),
-            )
-        return JumpInfo(sigma=t, rho=t, point_class=PointClass(True, False, True, False))
+        sigma = self.endpoint(2 * k + 1) if code == RIGHT_ENDPOINT else t
+        rho = self.endpoint(2 * k - 2) if code == LEFT_ENDPOINT else t
+        return JumpInfo(t, sigma, rho)
 
     # ------------------------------------------------------------------
     # psi substitution

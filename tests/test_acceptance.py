@@ -70,7 +70,7 @@ def test_criterion_2_periodic_component(model5, cert5, ts5):
           worst_s < 1e-6, f"max deviation {worst_s:.2e}")
 
     t_grid = np.concatenate([np.linspace(-3.95, 0.95, 50), np.linspace(4.05, 8.95, 50)])
-    values = as_timescale_function(model5, phi)(np.add.outer([0.0, ts5.period], t_grid))
+    values = as_timescale_function(phi)(np.add.outer([0.0, ts5.period], t_grid))
     report = verify_periodic(values[..., 0, :], ts5.period, tol=1e-6)
     _gate("criterion 2: period-periodicity on the scale < 1e-6", report.passed,
           f"max deviation {report.metrics['max_shift_deviation']:.2e}")
@@ -85,7 +85,7 @@ def test_criterion_3_poisson_component(model5, cert5, ts5):
           and all(b < a for a, b in zip(returns.defects, returns.defects[1:])),
           "defects " + ", ".join(f"{d:.4f}" for d in returns.defects))
 
-    parts = as_timescale_function(model5, BoundedSolutionEvaluator(model5, cert5, 1e-8))
+    parts = as_timescale_function(BoundedSolutionEvaluator(model5, cert5, 1e-8))
     grid = compact_grid(ts5, 1.0, 17.0, 0.05)
     values = parts(np.add.outer(ts5.period * np.array([0, *returns.zetas]), grid))
     report = verify_poisson(
@@ -199,7 +199,7 @@ def test_criterion_6_property_suites(model5, cert5, ts5):
           f"{worst_comm:.2e}")
 
     grid = compact_grid(ts5, -4.0, 28.0, 0.1)
-    theta = lift(model5, BoundedSolutionEvaluator(model5, cert5, 1e-8), grid)
+    theta = lift(BoundedSolutionEvaluator(model5, cert5, 1e-8), grid)
     sup_f = model5.forcing.sup_norm(ts5)
     sup_seq = model5.sequence.sup_norm(-2000, 2000).ceiling
     report = verify_bound(theta, cert5, sup_f, sup_seq)
@@ -215,7 +215,7 @@ def test_criterion_7_degenerate_scenarios(model5_no_sequence, model5_no_forcing,
     ev = BoundedSolutionEvaluator(model5_no_sequence, cert, 1e-8)
     grid = compact_grid(ts5, 1.0, 17.0, 0.25)
     returns = find_return_times(model5_no_sequence.sequence, (0, 20), 1000, max_count=3)
-    parts = as_timescale_function(model5_no_sequence, ev)
+    parts = as_timescale_function(ev)
     # the compact grid, its copy one period on and its return-shifted copies
     values = parts(np.add.outer(ts5.period * np.array([0, 1, *returns.zetas]), grid))
     theta2_max = float(np.max(np.linalg.norm(values[..., 1, :], axis=-1)))
@@ -226,7 +226,7 @@ def test_criterion_7_degenerate_scenarios(model5_no_sequence, model5_no_forcing,
     rep_poisson = verify_poisson(values[..., 1, :], returns, 1.0, 17.0, 0.25)
     _gate("criterion 7: degenerate recurrence suprema are identically zero",
           rep_poisson.metrics["final_sup_difference"] == 0.0)
-    full = lift(model5_no_sequence, ev, grid)
+    full = lift(ev, grid)
     rep_bound = verify_bound(full, cert, model5_no_sequence.forcing.sup_norm(ts5), 0.0)
     rng = np.random.default_rng(7)
     rep_stab = verify_stability(
@@ -240,7 +240,7 @@ def test_criterion_7_degenerate_scenarios(model5_no_sequence, model5_no_forcing,
     # switched-off periodic forcing: no periodic component
     cert_nf = certify(model5_no_forcing)
     ev_nf = BoundedSolutionEvaluator(model5_no_forcing, cert_nf, 1e-8)
-    theta1_nf, _ = decompose(model5_no_forcing, ev_nf, grid)
+    theta1_nf, _ = decompose(ev_nf, grid)
     _gate("criterion 7: zero periodic forcing gives zero periodic component",
           theta1_nf.max_norm() < 1e-12, f"max {theta1_nf.max_norm():.2e}")
 

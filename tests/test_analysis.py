@@ -72,7 +72,7 @@ class TestVerifyPeriodic:
         assert report.metrics == {"max_shift_deviation": 0.0, "pairs": 41.0}
 
     def test_periodic_component_passes(self, model5, cert5, ts5):
-        parts = as_timescale_function(model5, BoundedSolutionEvaluator(model5, cert5, 1e-8))
+        parts = as_timescale_function(BoundedSolutionEvaluator(model5, cert5, 1e-8))
         values = parts(np.add.outer([0.0, ts5.period], compact_grid(ts5, 1.0, 17.0, 0.2)))
         assert verify_periodic(values[..., 0, :], ts5.period, tol=1e-6).passed
         # the sequence-driven part is not periodic
@@ -95,7 +95,7 @@ class TestVerifyPoisson:
 
     def test_worked_scenario(self, model5, cert5, ts5):
         returns = find_return_times(model5.sequence, (0, 20), 100_000, max_count=3)
-        parts = as_timescale_function(model5, BoundedSolutionEvaluator(model5, cert5, 1e-8))
+        parts = as_timescale_function(BoundedSolutionEvaluator(model5, cert5, 1e-8))
         values = parts(return_grids(ts5, returns, 1.0, 17.0, 0.05))
         report = verify_poisson(values[..., 1, :], returns, 1.0, 17.0, 0.05)
         assert report.passed
@@ -114,7 +114,7 @@ class TestVerifyPoisson:
         )
         cert = certify(model)
         returns = find_return_times(table, (0, 20), 180, max_count=3)
-        parts = as_timescale_function(model, BoundedSolutionEvaluator(model, cert, 1e-6))
+        parts = as_timescale_function(BoundedSolutionEvaluator(model, cert, 1e-6))
         values = parts(return_grids(ts5, returns, 1.0, 17.0, 0.5))
         report = verify_poisson(values[..., 1, :], returns, 1.0, 17.0, 0.5, eps=1e-3)
         assert not report.passed
@@ -133,7 +133,7 @@ class TestVerifyBound:
 
     def test_worked_scenario(self, model5, cert5, ts5):
         grid = compact_grid(ts5, -4.0, 20.0, 0.1)
-        sol = lift(model5, BoundedSolutionEvaluator(model5, cert5, 1e-8), grid)
+        sol = lift(BoundedSolutionEvaluator(model5, cert5, 1e-8), grid)
         sup_f = model5.forcing.sup_norm(ts5)
         sup_seq = model5.sequence.sup_norm(-100, 100).ceiling
         report = verify_bound(sol, cert5, sup_f, sup_seq)
@@ -227,7 +227,7 @@ class TestAggregate:
     def test_worked_scenario_identity(self, model5, cert5, ts5):
         returns = find_return_times(model5.sequence, (0, 20), 100_000, max_count=3)
         tol = 1e-8
-        parts = as_timescale_function(model5, BoundedSolutionEvaluator(model5, cert5, tol))
+        parts = as_timescale_function(BoundedSolutionEvaluator(model5, cert5, tol))
         kw = dict(compact_lo=1.0, compact_hi=17.0, grid_step=0.25)
         values = parts(return_grids(ts5, returns, 1.0, 17.0, 0.25))
         rep2 = verify_poisson(values[..., 1, :], returns, **kw)

@@ -1,4 +1,8 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -116,7 +120,7 @@ class TestCsvRoundTrip:
         from tsdyn import BoundedSolutionEvaluator, compact_grid, lift
 
         grid = compact_grid(ts5, 0.0, 14.0, 0.5)
-        sol = lift(model5, BoundedSolutionEvaluator(model5, cert5, 1e-8), grid)
+        sol = lift(BoundedSolutionEvaluator(model5, cert5, 1e-8), grid)
         path = tmp_path / "sol.csv"
         write_solution_csv(path, sol)
         t, y, branches = read_solution_csv(path)
@@ -363,7 +367,7 @@ class TestSubcommands:
         grid = np.asarray(compact_grid(
             ts, windows["compact_lo"], windows["compact_hi"], cfg.tolerances["grid_step"]
         ))
-        parts = as_timescale_function(cfg.model, cfg.evaluator)
+        parts = as_timescale_function(cfg.evaluator)
         base = parts(grid)
         zetas = verify["poisson"]["parameters"]["zetas"]
         for name, pick in (("poisson", lambda v: v[:, 1]),
@@ -459,17 +463,33 @@ class TestMain:
          ("windows.stability_periods=1", "ValueError"),
          ("windows.return_window=[5,2]", "ValueError"),
          # grids too large to index: counted before any point, the record names the step
-         ("tolerances.grid_step=1e-300", "ValueError"), ("windows.t_end=1e300", "ValueError")],
+         ("tolerances.grid_step=1e-300", "ValueError"), ("windows.t_end=1e300", "ValueError"),
+         # a grid that can be indexed but not held (2.5e10 points): its allocation fails
+         ("tolerances.grid_step=1e-9", "ValueError")],
     )
     def test_failed_example_leaves_no_output(self, tmp_path, capsys, example_file, override,
                                              error):
         # each fails in a late stage of example, after the check passed; a run
         # computes every output before it writes any
         out = tmp_path / "out"
-        code = main(["example", "--config", str(example_file), "--out", str(out),
-                     "--override", override])
+        argv = ["example", "--config", str(example_file), "--out", str(out),
+                "--override", override]
+        if override == "tolerances.grid_step=1e-9":
+            # in a child whose address space is capped at about 3 GB, so the
+            # allocation fails instead of filling the machine's memory
+            def cap() -> None:
+                hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+                resource.setrlimit(resource.RLIMIT_AS, (3_000_000 * 1024, hard))
+
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+                   "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+            child = subprocess.run([sys.executable, "-m", "tsdyn.cli", *argv], env=env,
+                                   preexec_fn=cap, capture_output=True, text=True, timeout=120)
+            code, err = child.returncode, child.stderr
+        else:
+            code, err = main(argv), capsys.readouterr().err
         assert code == EXIT_USAGE
-        record = json.loads(capsys.readouterr().err.strip())
+        record = json.loads(err.strip())
         assert record["error"] == error
         if override.startswith(("tolerances.grid_step", "windows.t_end")):
             assert "grid_step" in record["message"] and "[0.0, " in record["message"]

@@ -150,19 +150,19 @@ class TestLift:
     def test_zero(self, ts5):
         model = quiet_model(ts5)
         ev = BoundedSolutionEvaluator(model, certify(model))
-        lifted = lift(model, ev, [0.0, 1.0, 4.0, 5.0, 9.0])
+        lifted = lift(ev, [0.0, 1.0, 4.0, 5.0, 9.0])
         assert lifted.max_norm() == 0.0
         assert lifted.provenance == "lifted"
 
     def test_uses_psi(self, model5, cert5):
         ev = BoundedSolutionEvaluator(model5, cert5, tol=1e-9)
-        lifted = lift(model5, ev, [0.0, 9.0])
+        lifted = lift(ev, [0.0, 9.0])
         assert np.array_equal(lifted.value(0.0), ev.value(0.0))   # psi(0) = 0
         assert np.array_equal(lifted.value(9.0), ev.value(6.0))   # psi(9) = 6
 
     def test_left_endpoint_value_is_right_limit(self, model5, cert5, ts5):
         ev = BoundedSolutionEvaluator(model5, cert5, tol=1e-9)
-        lifted = lift(model5, ev, [4.0])
+        lifted = lift(ev, [4.0])
         phi0 = ev.value(1.0)  # impulse moment s_0 = 1
         want = phi0 + 3.0 * (
             ROTATION_A @ phi0 + model5.forcing.value(1.0) + model5.sequence.term(0)
@@ -172,11 +172,19 @@ class TestLift:
     def test_rejects_points_off_scale(self, model5, cert5):
         ev = BoundedSolutionEvaluator(model5, cert5)
         with pytest.raises(TimeScaleDomainError):
-            lift(model5, ev, [2.5])
+            lift(ev, [2.5])
+
+    def test_takes_the_evaluator_alone(self, model5, cert5):
+        # the model is always the one the evaluator was built on
+        ev = BoundedSolutionEvaluator(model5, cert5)
+        for call in (lambda: lift(model5, ev, [0.0]), lambda: decompose(model5, ev, [0.0]),
+                     lambda: as_timescale_function(model5, ev)):
+            with pytest.raises(TypeError):
+                call()
 
     def test_as_timescale_function(self, model5, cert5, ts5):
         ev = BoundedSolutionEvaluator(model5, cert5, tol=1e-9)
-        theta = as_timescale_function(model5, ev)
+        theta = as_timescale_function(ev)
         assert np.array_equal(theta(9.0), ev.parts(6.0))
         assert np.array_equal(theta(9.0).sum(axis=0), ev.value(6.0))
         # the left endpoint 4 takes the right limit after impulse 0 at s_0 = 1
@@ -205,7 +213,7 @@ class TestDeltaResidual:
     def test_interior_scales_with_step(self, model5, cert5, ts5):
         grid = [0.0] + list(np.arange(4.0, 9.001, 1e-3))
         ev = BoundedSolutionEvaluator(model5, cert5, tol=1e-9)
-        sol = lift(model5, ev, grid)
+        sol = lift(ev, grid)
         r = delta_residual(model5, sol, 5.0)
         # forward difference of a smooth solution: residual ~ step * |y''|
         assert r < 1e-2
@@ -244,7 +252,7 @@ class TestLiftedResiduals:
     def test_right_scattered_identity_for_lifted_solution(self, model5, cert5, ts5):
         ev = BoundedSolutionEvaluator(model5, cert5, tol=1e-9)
         grid = [9.0, 12.0] + list(np.linspace(12.1, 16.9, 5))
-        sol = lift(model5, ev, grid)
+        sol = lift(ev, grid)
         # the endpoint value is the jump image of the sampled value, so the
         # difference quotient across the hole reproduces the equation exactly
         assert delta_residual(model5, sol, 9.0) < 1e-13
@@ -253,7 +261,7 @@ class TestLiftedResiduals:
         step = 1e-3
         grid = [0.0] + list(np.arange(4.0, 9.0001, step))
         ev = BoundedSolutionEvaluator(model5, cert5, tol=1e-9)
-        sol = lift(model5, ev, grid)
+        sol = lift(ev, grid)
         for t in (4.5, 6.25, 8.0):
             assert delta_residual(model5, sol, t) < 1e-2
 
@@ -263,29 +271,29 @@ class TestDecompose:
         cert = certify(model5_no_sequence)
         grid = [0.0, 4.0, 6.5, 9.0]
         ev = BoundedSolutionEvaluator(model5_no_sequence, cert)
-        theta1, theta2 = decompose(model5_no_sequence, ev, grid)
+        theta1, theta2 = decompose(ev, grid)
         assert theta2.max_norm() == 0.0
         assert theta1.max_norm() > 0.1
 
     def test_zero_forcing(self, model5_no_forcing):
         cert = certify(model5_no_forcing)
         ev = BoundedSolutionEvaluator(model5_no_forcing, cert)
-        theta1, theta2 = decompose(model5_no_forcing, ev, [0.0, 4.0, 6.5])
+        theta1, theta2 = decompose(ev, [0.0, 4.0, 6.5])
         assert theta1.max_norm() < 1e-12
         assert theta2.max_norm() > 0.1
 
     def test_sum_matches_full_solution(self, model5, cert5):
         ev = BoundedSolutionEvaluator(model5, cert5, 1e-8)
         grid = [0.0, 4.0, 5.5, 9.0, 12.0, 13.0]
-        theta1, theta2 = decompose(model5, ev, grid)
-        full = lift(model5, ev, grid)
+        theta1, theta2 = decompose(ev, grid)
+        full = lift(ev, grid)
         for t in grid:
             gap = np.linalg.norm(full.value(t) - theta1.value(t) - theta2.value(t))
             assert gap <= 1e-14
 
     def test_periodic_part_is_period_periodic(self, model5, cert5):
         grid = list(np.linspace(4.05, 8.95, 25)) + list(np.linspace(12.05, 16.95, 25))
-        theta1, _ = decompose(model5, BoundedSolutionEvaluator(model5, cert5, 1e-8), grid)
+        theta1, _ = decompose(BoundedSolutionEvaluator(model5, cert5, 1e-8), grid)
         for t in np.linspace(4.05, 8.95, 25):
             dev = np.linalg.norm(theta1.value(t + 8.0) - theta1.value(t))
             assert dev < 1e-6

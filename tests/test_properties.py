@@ -4,11 +4,11 @@ its stacked grid gives the bits of a per-node loop,
 and for the closed-form bounded-solution evaluator, batched and single-point
 evaluation agree, the value matches forward integration from deep in the
 past, the periodic component is stride-periodic, the two components sum to
-the full solution, left endpoints evaluated inside a lifted batch are the
-jumps of single-point values, and an instance that has served earlier calls
-gives the bits of a fresh one; no point walks more whole gaps than the
-evaluator's depth.  The blocked RK4 scan agrees with a plain
-per-step RK4 loop, stable or not, and the early-abandoning return-time scan
+the full solution, left endpoints evaluated inside a lifted batch or by the
+function on the scale are the jumps of single-point values, and an instance
+that has served earlier calls gives the bits of a fresh one; no point walks
+more whole gaps than the evaluator's depth.  The blocked RK4 scan agrees with
+a plain per-step RK4 loop, stable or not, and the early-abandoning return-time scan
 finds exactly the records of a full scan, on table and logistic sequences,
 whose rank-one form (logistic only) gives the bits of their terms."""
 
@@ -29,6 +29,7 @@ from tsdyn import (
     TableSequence,
     TimeScaleSpec,
     TrigForcing,
+    as_timescale_function,
     certify,
     check_contractive_period,
     check_invertible_jump,
@@ -42,7 +43,7 @@ from tsdyn import (
 )
 from tsdyn import forcing, impulsive, matrixkit
 from tsdyn.impulsive import _rk4_scan
-from tsdyn.timescale import _BOUNDARY_RTOL
+from tsdyn.timescale import LEFT_ENDPOINT, _BOUNDARY_RTOL
 
 # Deterministic example generation keeps the suite reproducible.
 PROPERTY_SETTINGS = settings(
@@ -143,8 +144,8 @@ def test_left_endpoints_join_the_batch(model, s):
     s = np.asarray(s)
     impulses = ts.impulse_index_below(s).tolist()
     grid = [ts.endpoint(2 * k + 1) for k in impulses] + [ts.psi_inv(x) for x in s.tolist()]
-    full = lift(model, ev, grid)
-    periodic, sequence = decompose(model, ev, grid)
+    full = lift(ev, grid)
+    periodic, sequence = decompose(ev, grid)
     for k in impulses:
         x = ts.impulse_point(k)
         assert np.array_equal(full.endpoint_values[k], model.jump(k, ev.value(x)))
@@ -152,6 +153,16 @@ def test_left_endpoints_join_the_batch(model, s):
         assert np.array_equal(periodic.endpoint_values[k], split[0])
         assert np.array_equal(sequence.endpoint_values[k], split[1])
     assert np.array_equal(full.y, ev.value(ts.psi(full.t)))
+    # the function on the scale reads the same model: each left endpoint is
+    # the jump of its impulse's parts, and every other point the parts at psi
+    t = np.array(grid)
+    rows = as_timescale_function(ev)(t)
+    k, code = ts.locate(t)
+    left = code == LEFT_ENDPOINT
+    for i in np.flatnonzero(left).tolist():
+        jump = int(k[i]) - 1
+        assert np.array_equal(rows[i], ev.model.jump(jump, ev.parts(ts.impulse_point(jump))))
+    assert np.array_equal(rows[~left], ev.parts(ts.psi(t[~left])))
     # a scalar is the 0-d case of a batch, row for row
     values, parts = ev.value(s), ev.parts(s)
     assert values.shape == (s.size, model.dimension)

@@ -96,15 +96,18 @@ class TestMembership:
     def test_jump_operators(self, ts5):
         j = ts5.jump_operators(1.0)  # right endpoint
         assert j.sigma == 4.0 and j.rho == 1.0
-        assert j.point_class.right_scattered and j.point_class.left_dense
+        assert j.right_scattered and j.left_dense
+        assert not (j.right_dense or j.left_scattered)
 
         j = ts5.jump_operators(0.0)  # interior
         assert j.sigma == 0.0 and j.rho == 0.0
-        assert j.point_class.right_dense and j.point_class.left_dense
+        assert j.right_dense and j.left_dense
+        assert not (j.right_scattered or j.left_scattered)
 
         j = ts5.jump_operators(4.0)  # left endpoint
         assert j.rho == 1.0 and j.sigma == 4.0
-        assert j.point_class.left_scattered and j.point_class.right_dense
+        assert j.left_scattered and j.right_dense
+        assert not (j.left_dense or j.right_scattered)
 
     def test_jump_operators_outside_scale(self, ts5):
         with pytest.raises(TimeScaleDomainError):
