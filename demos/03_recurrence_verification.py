@@ -1,10 +1,11 @@
 """Certifying the solution structure: periodic + Poisson-recurrent + stable.
 
-Mines record return times of the chaotic logistic sequence, measures how
-closely the sequence-driven solution component returns to itself under the
-corresponding period-multiple time shifts, checks the certified sup-norm
-bound and exponential contraction of nearby trajectories, and aggregates
-everything into the final verdict.
+Mines record return times of the chaotic logistic sequence and runs the one
+verification pipeline, ``verify_all``, that ``tsdyn verify`` runs too.  From
+its reports the demo prints how closely the periodic part returns to itself
+one period on, how closely the sequence-driven part returns to itself under
+the period-multiple shifts of the returns, the certified sup-norm bound, the
+contraction of two nearby trajectories, and the aggregate verdict.
 """
 
 import numpy as np
@@ -17,16 +18,9 @@ from tsdyn import (
     LogisticSequence,
     TimeScaleSpec,
     TrigForcing,
-    as_timescale_function,
     certify,
-    compact_grid,
     find_return_times,
-    lift,
-    mpps_report,
-    verify_bound,
-    verify_periodic,
-    verify_poisson,
-    verify_stability,
+    verify_all,
 )
 
 ts = TimeScaleSpec(anchor=1.0, period=8.0, gap=3.0)
@@ -46,48 +40,33 @@ returns = find_return_times(model.sequence, (0, 20), zeta_max=100_000, max_count
 for entry in returns.entries:
     print(f"  shift {entry.zeta:6d}: recurrence defect {entry.defect:.4f}")
 
-tol = 1e-8
-evaluator = BoundedSolutionEvaluator(model, cert, tol)
-parts = as_timescale_function(evaluator)  # rows [periodic, sequence]
-
-lo, hi, step = 1.0, 17.0, 0.05
-grid = compact_grid(ts, lo, hi, step)
-
-# one batch: the compact grid (row 0), its copy one period on (row 1) and its
-# return-shifted copies (rows 2 on)
-values = parts(np.add.outer(ts.period * np.array([0, 1, *returns.zetas]), grid))
-rep_periodic = verify_periodic(values[:2, :, 0], ts.period, tol=1e-6)
-print(f"\nperiodicity of the periodic part: deviation "
-      f"{rep_periodic.metrics['max_shift_deviation']:.2e} -> {rep_periodic.passed}")
-
-values = np.delete(values, 1, axis=0)  # row 0 and the return rows
-rep_poisson = verify_poisson(values[..., 1, :], returns, lo, hi, step)
-sups = [rep_poisson.metrics[f"D_{i}"] for i in range(len(returns.entries))]
-print("recurrence of the sequence-driven part:")
-for entry, sup in zip(returns.entries, sups):
-    print(f"  shift {entry.zeta:6d}: sup difference {sup:.4f}")
-print(f"  threshold {rep_poisson.parameters['eps']:.4f} -> {rep_poisson.passed}")
-
-theta = lift(evaluator, grid)
-rep_bound = verify_bound(theta, cert, evaluator.sup_forcing, evaluator.sup_sequence)
-print(f"sup-norm bound: {rep_bound.metrics['max_solution_norm']:.2f} <= "
-      f"{rep_bound.metrics['bound']:.2f} -> {rep_bound.passed}")
-
+evaluator = BoundedSolutionEvaluator(model, cert, tol=1e-8)
 rng = np.random.default_rng(11)
-rep_stability = verify_stability(
-    model, cert, rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2),
-    t0=1.0, horizon=10 * ts.period, step=1e-3,
+reports = verify_all(
+    evaluator, returns, compact_lo=1.0, compact_hi=17.0, grid_step=0.05,
+    period_tol=1e-6, poisson_eps=None, y0=rng.uniform(-1, 1, 2) - rng.uniform(-1, 1, 2),
+    stability_periods=10, step=1e-3,
 )
-print(f"contraction slope {rep_stability.metrics['fitted_slope']:.4f} "
-      f"(certified rate -{cert.decay_rate:.4f}) -> {rep_stability.passed}")
 
-rep_poisson_full = verify_poisson(
-    values.sum(axis=-2), returns, lo, hi, step, eps=rep_poisson.parameters["eps"] + 2 * tol,
-)
-verdict = mpps_report(
-    rep_periodic, rep_poisson, rep_bound, rep_stability,
-    poisson_full=rep_poisson_full, tol=tol,
-)
+periodic = reports["periodicity"]
+print(f"\nperiodicity of the periodic part: deviation "
+      f"{periodic.metrics['max_shift_deviation']:.2e} -> {periodic.passed}")
+
+poisson = reports["poisson"]
+print("recurrence of the sequence-driven part:")
+for i, entry in enumerate(returns.entries):
+    print(f"  shift {entry.zeta:6d}: sup difference {poisson.metrics[f'D_{i}']:.4f}")
+print(f"  threshold {poisson.parameters['eps']:.4f} -> {poisson.passed}")
+
+bound = reports["bound"]
+print(f"sup-norm bound: {bound.metrics['max_solution_norm']:.2f} <= "
+      f"{bound.metrics['bound']:.2f} -> {bound.passed}")
+
+stability = reports["stability"]
+print(f"contraction slope {stability.metrics['fitted_slope']:.4f} "
+      f"(certified rate -{cert.decay_rate:.4f}) -> {stability.passed}")
+
+verdict = reports["mpps"]
 print(f"\nshift-invariance transfers to the full solution with deviation "
       f"{verdict.metrics['recurrence_identity_deviation']:.2e}")
 print(f"aggregate verdict: {'PASS' if verdict.passed else 'FAIL'}")

@@ -6,6 +6,7 @@ from .analysis import (
     VerificationReport,
     compact_grid,
     mpps_report,
+    verify_all,
     verify_bound,
     verify_periodic,
     verify_poisson,
@@ -93,6 +94,7 @@ __all__ = [
     "recurrence_defect",
     "simulate_dynamic",
     "solution_bound",
+    "verify_all",
     "verify_bound",
     "verify_periodic",
     "verify_poisson",

@@ -5,6 +5,10 @@ sup-norm bound, asymptotic stability, and the aggregate verdict.
 Each check produces a serializable :class:`VerificationReport` whose pass
 flag is a pure function of the computed metrics and the echoed thresholds,
 so reports are deterministic for fixed inputs and seeds.
+
+:func:`verify_all`, the one pipeline that runs them all from an evaluator,
+lays out the one ``parts`` batch that the periodicity and both recurrence
+reports share, and returns the reports keyed as ``verify.json`` holds them.
 """
 
 from __future__ import annotations
@@ -14,10 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamic import TimeScaleSolution, simulate_dynamic
+from .dynamic import TimeScaleSolution, as_timescale_function, lift, simulate_dynamic
 from .errors import TimeScaleDomainError
 from .forcing import ReturnTimeSet, TableSequence, TrigForcing
-from .impulsive import ImpulsiveModel, StabilityCert, solution_bound
+from .impulsive import BoundedSolutionEvaluator, ImpulsiveModel, StabilityCert, solution_bound
 from .timescale import TimeScaleSpec
 
 _SEPARATION_FLOOR = 1e-12
@@ -208,18 +212,17 @@ def verify_bound(
 def verify_stability(
     model: ImpulsiveModel,
     cert: StabilityCert,
-    y0a,
-    y0b,
+    y0,
     t0: float,
     horizon: float,
     step: float,
 ) -> VerificationReport:
-    """Check exponential contraction of two trajectories.
+    """Check exponential contraction of two trajectories separated by ``y0``.
 
-    By linearity the separation of the trajectories from ``y0a`` and ``y0b``
-    is the homogeneous solution from ``y0a - y0b``, so it is marched
-    directly, with the model's matrix and scale and no forcing, rather than
-    as the difference of two forced marches that cancel down to round-off.
+    By linearity the separation of two trajectories that start ``y0`` apart
+    is the homogeneous solution from ``y0``, so it is marched directly, with
+    the model's matrix and scale and no forcing, rather than as the
+    difference of two forced marches that cancel down to round-off.
     The check fits the slope of the log separation against the collapsed
     time, :meth:`TimeScaleSpec.psi` of the whole sample array, and checks
     both the fitted slope against the certified decay rate and pointwise
@@ -233,7 +236,7 @@ def verify_stability(
         raise TimeScaleDomainError(f"t0 + horizon = {t_end!r} is not in the time scale")
     s0 = ts.psi(t0)
 
-    y0 = np.asarray(y0a, float) - np.asarray(y0b, float)
+    y0 = np.asarray(y0, float)
     # the march reads the sequence at the gap indices k0..k1 of its ends
     k0, k1 = ts.locate(t0)[0], ts.locate(t_end)[0]
     zeros = np.zeros(model.dimension)
@@ -291,33 +294,78 @@ def mpps_report(
     poisson: VerificationReport,
     bound: VerificationReport,
     stability: VerificationReport,
-    poisson_full: VerificationReport | None = None,
+    poisson_full: VerificationReport,
     tol: float = 1e-8,
 ) -> VerificationReport:
     """Aggregate verdict: periodic + Poisson decomposition, bounded, stable.
 
-    When a recurrence report for the full solution is supplied, the
-    identity between its suprema and the sequence-component suprema (the
+    The identity between the suprema of ``poisson_full``, the recurrence
+    report of the full solution, and the sequence-component suprema (the
     periodic component cancels under period-multiple shifts) is asserted
     within ``2 * tol`` and folded into the verdict.  The two reports are
     compared metric by metric, so they must hold the same returns.
     """
-    components = {
+    components = {"periodicity": periodic, "poisson": poisson, "bound": bound,
+                  "stability": stability}
+    if poisson.metrics.keys() != poisson_full.metrics.keys():
+        raise ValueError("full and component recurrence reports use different returns")
+    deviation = max(abs(v - poisson_full.metrics[k]) for k, v in poisson.metrics.items())
+    metrics = {f"{name}_passed": float(r.passed) for name, r in components.items()}
+    metrics["recurrence_identity_deviation"] = deviation
+    passed = all(r.passed for r in components.values()) and deviation <= 2.0 * tol
+    return VerificationReport(
+        kind="mpps", metrics=metrics, passed=passed,
+        parameters={"tol": tol, "recurrence_identity_tol": 2.0 * tol},
+    )
+
+
+# ----------------------------------------------------------------------
+# the whole pipeline
+
+
+def verify_all(
+    evaluator: BoundedSolutionEvaluator,
+    returns: ReturnTimeSet,
+    compact_lo: float,
+    compact_hi: float,
+    grid_step: float,
+    period_tol: float,
+    poisson_eps: float | None,
+    y0,
+    stability_periods: float,
+    step: float,
+) -> dict[str, VerificationReport]:
+    """Every verification report of the evaluator's model, certificate and
+    ``tol``, keyed as in ``verify.json``.
+
+    One ``parts`` batch holds the compact grid (row 0), its copy one period
+    on (row 1) and its return-shifted copies (rows 2 on).  Periodicity reads
+    rows 0 and 1; both recurrence reports read the rest with row 0, the
+    sequence part against ``poisson_eps`` and the full solution against that
+    threshold plus ``2 * tol``.  The separation ``y0`` is marched from the
+    anchor over ``stability_periods`` periods at RK4 step ``step``.
+    """
+    model, cert, tol = evaluator.model, evaluator.cert, evaluator.tol
+    ts = model.ts
+    grid = compact_grid(ts, compact_lo, compact_hi, grid_step)
+    theta = lift(evaluator, grid)
+    shifts = ts.period * np.array([0, 1, *returns.zetas])
+    values = as_timescale_function(evaluator)(np.add.outer(shifts, grid))
+    periodic = verify_periodic(values[:2, :, 0], ts.period, period_tol)
+    values = np.delete(values, 1, axis=0)
+    window = (compact_lo, compact_hi, grid_step)
+    poisson = verify_poisson(values[..., 1, :], returns, *window, eps=poisson_eps)
+    poisson_full = verify_poisson(
+        values.sum(axis=-2), returns, *window, eps=poisson.parameters["eps"] + 2.0 * tol
+    )
+    bound = verify_bound(theta, cert, evaluator.sup_forcing, evaluator.sup_sequence)
+    # the anchor is the right endpoint of interval 0: inside the psi domain
+    stability = verify_stability(model, cert, y0, ts.anchor, stability_periods * ts.period, step)
+    return {
         "periodicity": periodic,
         "poisson": poisson,
+        "poisson_full_solution": poisson_full,
         "bound": bound,
         "stability": stability,
+        "mpps": mpps_report(periodic, poisson, bound, stability, poisson_full, tol=tol),
     }
-    passed = all(r.passed for r in components.values())
-    metrics = {f"{name}_passed": float(r.passed) for name, r in components.items()}
-    parameters: dict = {"tol": tol}
-    if poisson_full is not None:
-        if poisson.metrics.keys() != poisson_full.metrics.keys():
-            raise ValueError("full and component recurrence reports use different returns")
-        deviation = max(abs(v - poisson_full.metrics[k]) for k, v in poisson.metrics.items())
-        metrics["recurrence_identity_deviation"] = deviation
-        passed = passed and deviation <= 2.0 * tol
-        parameters["recurrence_identity_tol"] = 2.0 * tol
-    return VerificationReport(
-        kind="mpps", metrics=metrics, passed=passed, parameters=parameters
-    )

@@ -477,59 +477,19 @@ def _cmd_returns(cfg: ScenarioConfig) -> tuple[bool, dict]:
 
 
 def _cmd_verify(cfg: ScenarioConfig) -> tuple[bool, dict]:
-    model, ts = cfg.model, cfg.ts
-    tol = cfg.tolerances["eval_tol"]
     ok, assumptions = cfg.assumptions
     if not ok:
         return False, {"verify.json": {"assumptions": assumptions}}
-    cert = cfg.certificate
-
     lo, hi = _required(cfg, "compact_lo", "compact_hi")
-    grid_step = cfg.tolerances["grid_step"]
-    grid = analysis.compact_grid(ts, lo, hi, grid_step)
-
-    evaluator = cfg.evaluator
-    theta = dynamic.lift(evaluator, grid)
-    returns = cfg.returns
-    # one batch: the compact grid (row 0), its copy one period on (row 1) and
-    # its return-shifted copies (rows 2 on)
-    shifts = ts.period * np.array([0, 1, *returns.zetas])
-    values = dynamic.as_timescale_function(evaluator)(np.add.outer(shifts, grid))
-    report_periodic = analysis.verify_periodic(
-        values[:2, :, 0], ts.period, cfg.tolerances["period_tol"]
-    )
-    values = np.delete(values, 1, axis=0)
-    report_poisson = analysis.verify_poisson(
-        values[..., 1, :], returns, lo, hi, grid_step, eps=cfg.tolerances["poisson_eps"],
-    )
-    report_poisson_full = analysis.verify_poisson(
-        values.sum(axis=-2), returns, lo, hi, grid_step,
-        eps=report_poisson.parameters["eps"] + 2.0 * tol,
-    )
-    report_bound = analysis.verify_bound(theta, cert, evaluator.sup_forcing, evaluator.sup_sequence)
-
     rng = np.random.default_rng(cfg.windows["stability_seed"])
-    y0a = rng.uniform(-1.0, 1.0, model.dimension)
-    y0b = rng.uniform(-1.0, 1.0, model.dimension)
-    t0_stab = ts.anchor  # right endpoint of interval 0: inside the psi domain
-    horizon = cfg.windows["stability_periods"] * ts.period
-    report_stability = analysis.verify_stability(
-        model, cert, y0a, y0b, t0_stab, horizon, cfg.tolerances["rk_step"]
+    y0a, y0b = rng.uniform(-1.0, 1.0, (2, cfg.model.dimension))  # two starts, one per row
+    tols = cfg.tolerances
+    reports = analysis.verify_all(
+        cfg.evaluator, cfg.returns, lo, hi, tols["grid_step"], tols["period_tol"],
+        tols["poisson_eps"], y0a - y0b, cfg.windows["stability_periods"], tols["rk_step"],
     )
-
-    aggregate = analysis.mpps_report(
-        report_periodic, report_poisson, report_bound, report_stability,
-        poisson_full=report_poisson_full, tol=tol,
-    )
-    return aggregate.passed, {
-        "verify.json": {
-            "periodicity": report_periodic.to_dict(),
-            "poisson": report_poisson.to_dict(),
-            "poisson_full_solution": report_poisson_full.to_dict(),
-            "bound": report_bound.to_dict(),
-            "stability": report_stability.to_dict(),
-            "mpps": aggregate.to_dict(),
-        },
+    return reports["mpps"].passed, {
+        "verify.json": {name: report.to_dict() for name, report in reports.items()},
     }
 
 

@@ -97,6 +97,11 @@ class ImpulsiveModel:
         return _read_only(matrixkit.expm(self.ts.stride * self.matrix) @ self.jump_factor)
 
     @cached_property
+    def floquet_radius(self) -> float:
+        """Spectral radius of :attr:`period_map`, computed once per model."""
+        return float(matrixkit.spectral_radius(self.period_map))
+
+    @cached_property
     def forcing_at_impulse(self) -> np.ndarray:
         """``f(psi_inv(s_k))``, the same for every ``k``: each ``psi_inv(s_k)``
         is a right endpoint, a whole number of periods from the anchor."""
@@ -132,9 +137,10 @@ def check_contractive_period(model: ImpulsiveModel) -> AssumptionCheck:
     """Second assumption: the one-period transition matrix is a contraction.
 
     The matrix is :attr:`ImpulsiveModel.period_map`; all its eigenvalues
-    must lie strictly inside the unit circle.
+    must lie strictly inside the unit circle.  The radius is computed once
+    per model (:attr:`ImpulsiveModel.floquet_radius`).
     """
-    radius = float(matrixkit.spectral_radius(model.period_map))
+    radius = model.floquet_radius
     return AssumptionCheck(passed=bool(radius < 1.0 - _RADIUS_MARGIN), value=radius)
 
 

@@ -23,7 +23,7 @@ from tsdyn import (
     integrate,
     lift,
     matriciant,
-    mpps_report,
+    verify_all,
     verify_bound,
     verify_periodic,
     verify_poisson,
@@ -107,7 +107,7 @@ def test_criterion_4_asymptotic_stability(model5, cert5, ts5):
     rng = np.random.default_rng(2023)
     y0a = rng.uniform(-1.0, 1.0, 2)
     y0b = rng.uniform(-1.0, 1.0, 2)
-    report = verify_stability(model5, cert5, y0a, y0b, 1.0, 10 * 8.0, 1e-3)
+    report = verify_stability(model5, cert5, y0a - y0b, 1.0, 10 * 8.0, 1e-3)
     slope = report.metrics["fitted_slope"]
     _gate("criterion 4: fitted contraction slope <= -0.44", slope <= -0.44,
           f"slope {slope:.4f}")
@@ -214,28 +214,22 @@ def test_criterion_7_degenerate_scenarios(model5_no_sequence, model5_no_forcing,
     cert = certify(model5_no_sequence)
     ev = BoundedSolutionEvaluator(model5_no_sequence, cert, 1e-8)
     grid = compact_grid(ts5, 1.0, 17.0, 0.25)
-    returns = find_return_times(model5_no_sequence.sequence, (0, 20), 1000, max_count=3)
-    parts = as_timescale_function(ev)
-    # the compact grid, its copy one period on and its return-shifted copies
-    values = parts(np.add.outer(ts5.period * np.array([0, 1, *returns.zetas]), grid))
-    theta2_max = float(np.max(np.linalg.norm(values[..., 1, :], axis=-1)))
+    _, theta2 = decompose(ev, grid)
     _gate("criterion 7: zero sequence forcing gives zero recurrence component",
-          theta2_max < 1e-12, f"max {theta2_max:.2e}")
-    rep_periodic = verify_periodic(values[:2, :, 0], ts5.period, tol=1e-6)
-    values = np.delete(values, 1, axis=0)
-    rep_poisson = verify_poisson(values[..., 1, :], returns, 1.0, 17.0, 0.25)
-    _gate("criterion 7: degenerate recurrence suprema are identically zero",
-          rep_poisson.metrics["final_sup_difference"] == 0.0)
-    full = lift(ev, grid)
-    rep_bound = verify_bound(full, cert, model5_no_sequence.forcing.sup_norm(ts5), 0.0)
+          theta2.max_norm() < 1e-12, f"max {theta2.max_norm():.2e}")
+    returns = find_return_times(model5_no_sequence.sequence, (0, 20), 1000, max_count=3)
     rng = np.random.default_rng(7)
-    rep_stab = verify_stability(
-        model5_no_sequence, cert, rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2),
-        1.0, 40.0, 1e-2,
+    reports = verify_all(
+        ev, returns, 1.0, 17.0, 0.25, period_tol=1e-6, poisson_eps=None,
+        y0=rng.uniform(-1, 1, 2) - rng.uniform(-1, 1, 2), stability_periods=5, step=1e-2,
     )
-    verdict = mpps_report(rep_periodic, rep_poisson, rep_bound, rep_stab)
+    _gate("criterion 7: degenerate recurrence suprema are identically zero",
+          reports["poisson"].metrics["final_sup_difference"] == 0.0)
+    deviation = reports["mpps"].metrics["recurrence_identity_deviation"]
+    _gate("criterion 7: full-solution recurrence suprema match the zero component",
+          deviation <= 2e-8, f"deviation {deviation:.2e}")
     _gate("criterion 7: pure periodic scenario passes the aggregate verdict",
-          verdict.passed)
+          reports["mpps"].passed)
 
     # switched-off periodic forcing: no periodic component
     cert_nf = certify(model5_no_forcing)

@@ -148,8 +148,8 @@ class TestVerifyBound:
 
 class TestVerifyStability:
     def test_identical_starts(self, model5, cert5):
-        y0 = np.array([0.3, -0.8])
-        report = verify_stability(model5, cert5, y0, y0.copy(), 0.5, 80.0, 1e-2)
+        # two identical starts are zero apart
+        report = verify_stability(model5, cert5, np.zeros(2), 0.5, 80.0, 1e-2)
         assert report.passed
         assert "fitted_slope" not in report.metrics
 
@@ -157,7 +157,7 @@ class TestVerifyStability:
         rng = np.random.default_rng(33)
         y0a = rng.uniform(-1.0, 1.0, 2)
         y0b = rng.uniform(-1.0, 1.0, 2)
-        report = verify_stability(model5, cert5, y0a, y0b, 1.0, 80.0, 1e-2)
+        report = verify_stability(model5, cert5, y0a - y0b, 1.0, 80.0, 1e-2)
         assert report.passed
         assert report.metrics["fitted_slope"] <= -cert5.decay_rate
         assert report.metrics["envelope_min_margin"] >= 0.0
@@ -170,14 +170,14 @@ class TestVerifyStability:
         y0b = rng.uniform(-1.0, 1.0, 2)
         ts = model5.ts
         for t0, horizon in ((1.0, 80.0), (0.5, 120.0)):
-            report = verify_stability(model5, cert5, y0a, y0b, t0, horizon, 1e-2)
+            report = verify_stability(model5, cert5, y0a - y0b, t0, horizon, 1e-2)
             exact = matriciant(model5, ts.psi(t0 + horizon), ts.psi(t0)) @ (y0a - y0b)
             final = report.metrics["final_separation"]
             assert final == pytest.approx(float(np.linalg.norm(exact)), rel=1e-8)
 
     def test_requires_long_horizon(self, model5, cert5):
         with pytest.raises(ValueError, match="five periods"):
-            verify_stability(model5, cert5, np.zeros(2), np.ones(2), 0.5, 16.0, 1e-2)
+            verify_stability(model5, cert5, np.ones(2), 0.5, 16.0, 1e-2)
 
 
 class TestAggregate:
@@ -187,15 +187,16 @@ class TestAggregate:
         return VerificationReport(kind=kind, metrics=metrics or {}, passed=passed)
 
     def test_conjunction(self):
+        full = self._stub("poisson", True, {"D_0": 0.5})
         good = [
             self._stub("periodicity", True),
-            self._stub("poisson", True),
+            self._stub("poisson", True, {"D_0": 0.5}),
             self._stub("bound", True),
             self._stub("stability", True),
         ]
-        assert mpps_report(*good).passed
+        assert mpps_report(*good, full).passed
         bad = good[:3] + [self._stub("stability", False)]
-        assert not mpps_report(*bad).passed
+        assert not mpps_report(*bad, full).passed
 
     def test_recurrence_identity(self):
         p2 = self._stub("poisson", True, {"D_0": 0.5, "D_1": 0.1})

@@ -18,6 +18,7 @@ from tsdyn import (
     compact_grid,
     errors,
     impulsive,
+    verify_all,
 )
 from tsdyn.cli import (
     EXIT_OK,
@@ -278,6 +279,10 @@ class TestSubcommands:
 
         monkeypatch.setattr(impulsive, "certify", counting("certify", impulsive.certify))
         monkeypatch.setattr(
+            impulsive.matrixkit, "spectral_radius",
+            counting("spectral_radius", impulsive.matrixkit.spectral_radius),
+        )
+        monkeypatch.setattr(
             cli, "find_return_times", counting("find_return_times", cli.find_return_times)
         )
         monkeypatch.setattr(
@@ -286,12 +291,32 @@ class TestSubcommands:
         )
         example_raw["windows"]["return_window"] = return_window
         assert run("example", parse_config(example_raw), tmp_path) == EXIT_OK
-        assert calls == {"certify": 1, "find_return_times": 1, "evaluator": 1}
+        assert calls == {
+            "certify": 1, "find_return_times": 1, "evaluator": 1, "spectral_radius": 1,
+        }
         # returns and verify report the one mined set
         returns = json.loads((tmp_path / "returns.json").read_text())
         verify = json.loads((tmp_path / "verify.json").read_text())
         zetas = [e["zeta"] for e in returns["entries"]]
         assert zetas == verify["poisson"]["parameters"]["zetas"]
+
+    @pytest.mark.parametrize("return_window", [[0, 20], None], ids=["window", "null"])
+    def test_verify_is_the_library_pipeline(self, tmp_path, example_raw, return_window):
+        # the subcommand adds only plumbing: its verify.json holds the reports
+        # of one verify_all call on the config's values
+        example_raw["windows"]["return_window"] = return_window
+        assert run("verify", parse_config(example_raw), tmp_path) == EXIT_OK
+        cfg = parse_config(example_raw)
+        tolerances, windows = cfg.tolerances, cfg.windows
+        rng = np.random.default_rng(windows["stability_seed"])
+        y0a, y0b = rng.uniform(-1.0, 1.0, 2), rng.uniform(-1.0, 1.0, 2)
+        reports = verify_all(
+            cfg.evaluator, cfg.returns, windows["compact_lo"], windows["compact_hi"],
+            tolerances["grid_step"], tolerances["period_tol"], tolerances["poisson_eps"],
+            y0a - y0b, windows["stability_periods"], tolerances["rk_step"],
+        )
+        expected = json.loads(json.dumps({name: r.to_dict() for name, r in reports.items()}))
+        assert json.loads((tmp_path / "verify.json").read_text()) == expected
 
     @pytest.mark.parametrize("max_returns", [3, 5])
     def test_verify_makes_two_evaluator_batches(self, tmp_path, monkeypatch, example_raw,
