@@ -111,6 +111,14 @@ def _integer(v) -> int:
     return int(v)
 
 
+def _count(v) -> int:
+    """A whole number of at least 1, as an int."""
+    n = _integer(v)
+    if n < 1:
+        raise ValueError("must be an integer >= 1")
+    return n
+
+
 def _vector(convert, length=None):
     """A list converted entry by entry into a tuple; ``length`` pins its size."""
     def converted(v):
@@ -135,8 +143,8 @@ _WINDOWS = {
     "compact_lo": (_real, None),
     "compact_hi": (_real, None),
     "return_window": (_vector(_integer, 2), None),
-    "zeta_max": (_integer, 100_000),
-    "max_returns": (_integer, 3),
+    "zeta_max": (_count, 100_000),
+    "max_returns": (_count, 3),
     "stability_periods": (_real, 10.0),
     "stability_seed": (_integer, 2023),
     "initial": (_vector(_real), None),
@@ -200,12 +208,20 @@ class ScenarioConfig:
         below by ``evaluator.depth`` whole gaps, so it holds every sequence
         term the evaluator reads on the compact grid.
         """
-        window = self.windows["return_window"]
+        window, zeta_max = self.windows["return_window"], self.windows["zeta_max"]
         if window is None:
-            lo, hi = self.ts.interval_span(*_required(self, "compact_lo", "compact_hi"))
+            compact = _required(self, "compact_lo", "compact_hi")
+            lo, hi = self.ts.interval_span(*compact)
             window = (lo - self.evaluator.depth, hi)
+            # the scan reads the float terms window[0] .. hi + zeta_max as one array
+            if 8 * (hi + zeta_max - window[0] + 1) > np.iinfo(np.intp).max:
+                raise ConfigError([
+                    "windows.return_window=null mines the interval span of windows.compact_lo="
+                    f"{compact[0]} to windows.compact_hi={compact[1]}: {hi - lo + 1:.6g} "
+                    f"intervals and zeta_max={zeta_max} shifts, too many to index"
+                ])
         return find_return_times(
-            self.model.sequence, window, self.windows["zeta_max"], self.windows["max_returns"]
+            self.model.sequence, window, zeta_max, self.windows["max_returns"]
         )
 
 

@@ -8,8 +8,10 @@ interval of the time scale.  Sequences come in two kinds, a logistic-map
 orbit pushed through a linear output map and an explicit integer-indexed
 table, and every reader uses only the members both have: ``dimension``,
 ``min_index()``, ``term(k)``, ``terms(lo, hi)``, the ``ceiling`` on every
-term's norm and ``rank_one(lo, hi)``: ``(z, C)`` with every ``|z_k| <= 1``
-and ``terms(lo, hi) == np.outer(z, C)``, or ``None`` for a kind without it.
+term's norm and ``rank_one(lo, hi)``: ``(z, C)`` with
+``terms(lo, hi) == np.outer(z, C)``, or ``None`` for a kind without it.  The
+return scan reads the distance of two rank-one terms in closed form,
+``||C|| |z_a - z_b|``, and the row norm of their difference otherwise.
 """
 
 from __future__ import annotations
@@ -391,49 +393,34 @@ class ReturnTimeSet:
         }
 
 
+def _term_distance(seq: PoissonSequence, k_lo: int, k_hi: int):
+    """``dist(a, b) = ||term(k_lo + a) - term(k_lo + b)||`` elementwise, for
+    offsets into ``k_lo..k_hi``: ``||C|| |z_a - z_b|`` for a sequence whose
+    ``rank_one`` gives ``(z, C)``, whose terms are ``C z_k``, and the row norm
+    of the difference of two terms for any other sequence."""
+    rank = seq.rank_one(k_lo, k_hi)
+    if rank is None:
+        rows = seq.terms(k_lo, k_hi)
+        return lambda a, b: np.linalg.norm(rows[a] - rows[b], axis=1)
+    z, c = rank[0], float(np.linalg.norm(rank[1]))
+    return lambda a, b: c * np.abs(z[a] - z[b])
+
+
 def recurrence_defect(seq: PoissonSequence, window: tuple[int, int], zeta: int) -> float:
-    """``max_k ||term(k + zeta) - term(k)||`` over the index window."""
-    lo, hi = int(window[0]), int(window[1])
+    """``max_k ||term(k + zeta) - term(k)||`` over the index window, each
+    distance as :func:`find_return_times` computes it: for a sequence with a
+    rank-one form ``(z, C)`` it is ``||C|| * max_k |z[k + zeta] - z[k]|``."""
+    lo, hi, zeta = int(window[0]), int(window[1]), int(zeta)
     if hi < lo:
         raise ValueError(f"window is empty: {window}")
-    base = seq.terms(lo, hi)
-    shifted = seq.terms(lo + zeta, hi + zeta)
-    return float(np.max(np.linalg.norm(shifted - base, axis=1)))
+    first = min(lo, lo + zeta)
+    k = np.arange(lo - first, hi - first + 1)
+    return float(np.max(_term_distance(seq, first, max(hi, hi + zeta))(k + zeta, k)))
 
 
 # Shifts per block of the return scan: the abandoning threshold tightens once
 # per block, and the per-block temporaries stay near a MiB at m = 8.
 _SCAN_BLOCK = 1 << 14
-
-# Rounding slack of the scalar prefilter of a rank-one scan: relative and
-# absolute (in units of ||C||) bounds on how far a computed row norm of two
-# rank-one terms' difference can sit from ||C|| * |dz|.
-_REL = 1e-12
-_ABS = 1e-14
-
-
-def _scalar_survivors(
-    z: np.ndarray, C: np.ndarray, width: int, zetas: np.ndarray, best: float
-) -> np.ndarray:
-    """The shifts of one block of a rank-one scan that may still record.
-
-    ``sd`` is each shift's running maximum of ``|z[offset + zeta] - z[offset]|``
-    and, with ``c = ||C||``, ``[c*(sd(1 - _REL) - _ABS), c*(sd(1 + _REL) + _ABS)]``
-    brackets its computed vector defect (proof in :func:`find_return_times`).
-    """
-    c = float(np.linalg.norm(C))
-    sd = np.zeros(zetas.size)
-    for offset in range(width):
-        np.maximum(sd, np.abs(z[offset + zetas] - z[offset]), out=sd)
-        lower = c * (sd * (1.0 - _REL) - _ABS)
-        live = lower < best
-        zetas, sd, lower = zetas[live], sd[live], lower[live]
-        if zetas.size == 0:
-            break
-    upper = c * (sd * (1.0 + _REL) + _ABS)
-    # earlier[j]: the least upper bound of the survivors before shift j
-    earlier = np.minimum.accumulate(np.concatenate(([math.inf], upper[:-1])))
-    return zetas[lower < earlier]
 
 
 def find_return_times(
@@ -459,30 +446,15 @@ def find_return_times(
     below the best defect of all earlier blocks.  An abandoned shift has
     defect >= running maximum >= best, so it cannot strictly improve on the
     best and is never a record; it also cannot lower the running best.  The
-    survivors' defects are the same row norms as :func:`recurrence_defect`'s
-    and the maximum is exact, so the records, their defects and the tie rule
+    survivors' defects are the distances of :func:`recurrence_defect` and
+    the maximum is exact, so the records, their defects and the tie rule
     (a tie never records) are those of the full scan.
 
-    A scalar prefilter runs for any sequence whose ``rank_one`` gives
-    ``(z, C)`` (a :class:`LogisticSequence`; a table gives ``None`` and is
-    scanned by rows alone).  Its terms are ``C z_k``, so the scan reads ``z``
-    and builds rows ``np.outer(z[idx], C)`` only for the shifts that pass
-    the prefilter first.  With ``c = ||C||`` and
-    ``sd`` a shift's running maximum of ``|z[offset + zeta] - z[offset]|``,
-    its computed defect ``d`` lies in ``[lb, ub]``, ``lb = c*(sd(1 - 1e-12)
-    - 1e-14)`` and ``ub = c*(sd(1 + 1e-12) + 1e-14)``: the row norm of
-    ``fl(z_a C) - fl(z_b C)`` is within ``2u||C|| + (m + 4)u ||C|| |dz|`` of
-    ``||C|| |dz|`` for ``|z| <= 1`` (``u`` the unit roundoff), which
-    these slacks cover for ``m`` up to about 9000.  The prefilter drops a
-    shift once ``lb >= best`` (then ``d >= best``), and after the offsets
-    every shift whose ``lb`` is not below the least ``ub`` of the block's
-    earlier survivors (then ``d >= lb >= ub_i >= d_i`` for an earlier shift
-    ``i``, and by induction ``d`` is at least the defect of an earlier kept
-    shift or ``best``).  Either way the
-    dropped shift never strictly improves on a shorter shift's defect, so it
-    is never a record and never lowers the running best, and the exact
-    survivors' records are the full scan's.  The ``(zeta_max, m)`` term
-    table is never built.
+    One loop serves every sequence kind.  For a sequence whose ``rank_one``
+    gives ``(z, C)`` (a :class:`LogisticSequence`) the distance of two terms
+    is ``||C|| |z_a - z_b|`` in closed form, so the scan reads the orbit
+    alone and the ``(zeta_max, m)`` term table is never built; any other
+    sequence (a table) is scanned by the row norms of its terms.
     """
     lo, hi = int(window[0]), int(window[1])
     if hi < lo:
@@ -499,24 +471,17 @@ def find_return_times(
         )
 
     width = hi - lo + 1
-    rank = seq.rank_one(lo, hi + zeta_max)  # indices lo .. hi+zeta_max
-    table = seq.terms(lo, hi + zeta_max) if rank is None else None
-
-    def rows(idx):
-        return table[idx] if rank is None else np.outer(rank[0][idx], rank[1])
+    dist = _term_distance(seq, lo, hi + zeta_max)  # indices lo .. hi+zeta_max
     # shift 1 records (unless its defect overflows), so it bounds every block
     best = recurrence_defect(seq, (lo, hi), 1)
     records = [ReturnEntry(zeta=1, defect=best)] if best < math.inf else []
     for start in range(2, zeta_max + 1, _SCAN_BLOCK):
         zetas = np.arange(start, min(start + _SCAN_BLOCK, zeta_max + 1))
-        if rank is not None:
-            zetas = _scalar_survivors(*rank, width, zetas, best)
         defects = np.zeros(zetas.size)
         for offset in range(width):
             if zetas.size == 0:
                 break
-            norms = np.linalg.norm(rows(offset + zetas) - rows(offset), axis=1)
-            np.maximum(defects, norms, out=defects)
+            np.maximum(defects, dist(offset + zetas, offset), out=defects)
             live = defects < best
             zetas, defects = zetas[live], defects[live]
         # prior[j]: the best defect of every shorter shift; a record is strictly below it

@@ -484,8 +484,7 @@ class TestMain:
 
     @pytest.mark.parametrize(
         "override, error",
-        [("gamma.k_min=-5", "HorizonError"), ("windows.zeta_max=0", "ValueError"),
-         ("windows.stability_periods=1", "ValueError"),
+        [("gamma.k_min=-5", "HorizonError"), ("windows.stability_periods=1", "ValueError"),
          ("windows.return_window=[5,2]", "ValueError"),
          # grids too large to index: counted before any point, the record names the step
          ("tolerances.grid_step=1e-300", "ValueError"), ("windows.t_end=1e300", "ValueError"),
@@ -518,6 +517,36 @@ class TestMain:
         assert record["error"] == error
         if override.startswith(("tolerances.grid_step", "windows.t_end")):
             assert "grid_step" in record["message"] and "[0.0, " in record["message"]
+        assert not out.exists()
+
+    def test_null_return_window_too_wide_fails_at_once(self, tmp_path, capsys, example_file):
+        # the compact window spans about 1.25e299 intervals, more than the
+        # scan's orbit array can index; the record names the setting
+        out = tmp_path / "out"
+        code = main(["example", "--config", str(example_file), "--out", str(out),
+                     "--override", "windows.compact_hi=1e300",
+                     "--override", "windows.return_window=null"])
+        assert code == EXIT_USAGE
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError"
+        assert "windows.compact_hi=1e+300" in record["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("override", ["windows.zeta_max=0", "windows.max_returns=0"])
+    def test_mining_setting_below_one_fails_when_read(self, tmp_path, capsys, monkeypatch,
+                                                      example_file, example_raw, override):
+        # rejected with the config, before any stage runs
+        field_name = override.split("=")[0].split(".")[1]
+        example_raw["windows"][field_name] = 0
+        with pytest.raises(ConfigError, match=f"windows.{field_name} must be an integer >= 1"):
+            parse_config(example_raw)
+        monkeypatch.setattr(cli, "run", lambda *args: pytest.fail("a stage ran"))
+        out = tmp_path / "out"
+        code = main(["example", "--config", str(example_file), "--out", str(out),
+                     "--override", override])
+        assert code == EXIT_USAGE
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError" and f"windows.{field_name}" in record["message"]
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -8,11 +8,16 @@ the full solution, left endpoints evaluated inside a lifted batch or by the
 function on the scale are the jumps of single-point values, and an instance
 that has served earlier calls gives the bits of a fresh one; no point walks
 more whole gaps than the evaluator's depth.  The blocked RK4 scan agrees with
-a plain per-step RK4 loop, stable or not, and the early-abandoning return-time scan
-finds exactly the records of a full scan, on table and logistic sequences,
-whose rank-one form (logistic only) gives the bits of their terms."""
+a plain per-step RK4 loop, stable or not, and the early-abandoning return-time scan,
+one loop for every sequence kind, finds exactly the records of a full scan, on
+table and logistic sequences, whose rank-one form (logistic only) gives the
+bits of their terms.  A logistic defect is read in closed form,
+``||C|| * max |z[k + zeta] - z[k]|``, so it is within 4.5e-16 relative of
+exact arithmetic and does not change when the output map's signs flip."""
 
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -396,8 +401,8 @@ def return_scans(draw):
 @example(scan=(_logistic(2, 3.9, -2, 3), (-2, 1), 1), max_count=3, block=1)
 # shifts 2 and 3 each record a defect within a relative 1e-5 of the last, a block later
 @example(scan=(_logistic(2, 4.0, -2, 29), (-2, 3), 3), max_count=3, block=1)
-# records (1, 2, 4, 6) with defects (0.494, 6.66e-16, 5.55e-16, 0.0): a
-# prefilter without its absolute rounding slack drops shift 4
+# records (1, 2, 6) with defects (0.494, 4.78e-16, 0.0): differences at
+# rounding level, which the scan must order exactly as the full scan does
 @example(
     scan=(LogisticSequence(3.3, 0.6546884913226735, k_min=0, output_map=[1.4343491343457004]),
           (380, 381), 2031),
@@ -414,6 +419,58 @@ def test_pruned_return_scan_matches_full_scan(scan, max_count, block):
     with mock.patch.object(forcing, "_SCAN_BLOCK", block):  # many blocks per scan
         got = find_return_times(seq, (lo, hi), zeta_max, max_count)
     assert [(e.zeta, e.defect) for e in got.entries] == records[-max_count:]
+
+
+def _exact_defect(seq, window, zeta):
+    """A logistic sequence's defect in exact arithmetic: ``max |dz|`` over the
+    orbit's floats as a Fraction, times ``||C||`` as a 50-digit square root."""
+    lo, hi = window
+    z, C = seq.rank_one(lo, hi + zeta)
+    dz = max(abs(Fraction(z[k + zeta]) - Fraction(z[k])) for k in range(hi - lo + 1))
+    squares = sum(Fraction(c) ** 2 for c in C)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        norm = (Decimal(squares.numerator) / Decimal(squares.denominator)).sqrt()
+        return norm * Decimal(dz.numerator) / Decimal(dz.denominator)
+
+
+logistic_scans = dict(
+    m=st.integers(1, 8), r=st.floats(2.9, 4.0), k_min=st.integers(-50, 50),
+    width=st.integers(1, 8), zeta_max=st.integers(1, 400), seed=st.integers(0, 2 ** 32 - 1),
+)
+
+
+@PROPERTY_SETTINGS
+@given(**logistic_scans)
+def test_logistic_defects_are_exact_to_rounding(m, r, k_min, width, zeta_max, seed):
+    # the distance of two terms C z_a and C z_b is ||C|| |z_a - z_b|: one
+    # rounded norm, one exact difference of close floats and one product
+    seq = _logistic(m, r, k_min, seed)
+    window = (k_min, k_min + width - 1)
+    returns = find_return_times(seq, window, zeta_max, max_count=zeta_max)
+    checked = [*zip(returns.zetas, returns.defects),
+               *((zeta, recurrence_defect(seq, window, zeta)) for zeta in (1, zeta_max))]
+    for zeta, defect in checked:
+        exact = _exact_defect(seq, window, zeta)
+        assert abs(Decimal(defect) - exact) <= Decimal("4.5e-16") * exact
+
+
+@PROPERTY_SETTINGS
+@given(**logistic_scans, flips=st.integers(1, 255))
+def test_output_map_signs_leave_returns_unchanged(m, r, k_min, width, zeta_max, seed, flips):
+    # the defects read C through ||C|| alone
+    signs = [-1.0 if flips >> i & 1 else 1.0 for i in range(m)]
+    assume(-1.0 in signs)
+    seq = _logistic(m, r, k_min, seed)
+    C = seq.rank_one(k_min, k_min)[1]
+    flipped = LogisticSequence(r, seq.z0, k_min, C * signs)
+    window = (k_min, k_min + width - 1)
+    got, want = (find_return_times(s, window, zeta_max, max_count=zeta_max) for s in (flipped, seq))
+    assert [(e.zeta, e.defect.hex()) for e in got.entries] == \
+        [(e.zeta, e.defect.hex()) for e in want.entries]
+    for zeta in (1, zeta_max):
+        assert recurrence_defect(flipped, window, zeta).hex() == \
+            recurrence_defect(seq, window, zeta).hex()
 
 
 @PROPERTY_SETTINGS
