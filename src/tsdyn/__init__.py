@@ -18,6 +18,7 @@ from .dynamic import (
     decompose,
     delta_residual,
     lift,
+    lift_and_parts,
     simulate_dynamic,
 )
 from .errors import (
@@ -89,6 +90,7 @@ __all__ = [
     "find_return_times",
     "integrate",
     "lift",
+    "lift_and_parts",
     "matriciant",
     "mpps_report",
     "recurrence_defect",

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamic import TimeScaleSolution, as_timescale_function, lift, simulate_dynamic
+from .dynamic import TimeScaleSolution, lift_and_parts, simulate_dynamic
 from .errors import TimeScaleDomainError
 from .forcing import ReturnTimeSet, TableSequence, TrigForcing
 from .impulsive import BoundedSolutionEvaluator, ImpulsiveModel, StabilityCert, solution_bound
@@ -342,15 +342,14 @@ def verify_all(
     on (row 1) and its return-shifted copies (rows 2 on).  Periodicity reads
     rows 0 and 1; both recurrence reports read the rest with row 0, the
     sequence part against ``poisson_eps`` and the full solution against that
-    threshold plus ``2 * tol``.  The separation ``y0`` is marched from the
-    anchor over ``stability_periods`` periods at RK4 step ``step``.
+    threshold plus ``2 * tol``; the bound report reads the lift of row 0, so
+    the compact grid is evaluated once.  The separation ``y0`` is marched
+    from the anchor over ``stability_periods`` periods at RK4 step ``step``.
     """
     model, cert, tol = evaluator.model, evaluator.cert, evaluator.tol
     ts = model.ts
     grid = compact_grid(ts, compact_lo, compact_hi, grid_step)
-    theta = lift(evaluator, grid)
-    shifts = ts.period * np.array([0, 1, *returns.zetas])
-    values = as_timescale_function(evaluator)(np.add.outer(shifts, grid))
+    theta, values = lift_and_parts(evaluator, grid, ts.period * np.array([1, *returns.zetas]))
     periodic = verify_periodic(values[:2, :, 0], ts.period, period_tol)
     values = np.delete(values, 1, axis=0)
     window = (compact_lo, compact_hi, grid_step)

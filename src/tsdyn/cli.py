@@ -209,20 +209,28 @@ class ScenarioConfig:
         term the evaluator reads on the compact grid.
         """
         window, zeta_max = self.windows["return_window"], self.windows["zeta_max"]
-        if window is None:
-            compact = _required(self, "compact_lo", "compact_hi")
-            lo, hi = self.ts.interval_span(*compact)
-            window = (lo - self.evaluator.depth, hi)
-            # the scan reads the float terms window[0] .. hi + zeta_max as one array
-            if 8 * (hi + zeta_max - window[0] + 1) > np.iinfo(np.intp).max:
-                raise ConfigError([
-                    "windows.return_window=null mines the interval span of windows.compact_lo="
-                    f"{compact[0]} to windows.compact_hi={compact[1]}: {hi - lo + 1:.6g} "
-                    f"intervals and zeta_max={zeta_max} shifts, too many to index"
-                ])
-        return find_return_times(
-            self.model.sequence, window, zeta_max, self.windows["max_returns"]
-        )
+        max_returns, seq = self.windows["max_returns"], self.model.sequence
+        if window is not None:
+            return find_return_times(seq, window, zeta_max, max_returns)
+        compact = _required(self, "compact_lo", "compact_hi")
+        lo, hi = self.ts.interval_span(*compact)
+        window = (lo - self.evaluator.depth, hi)
+
+        def too_many(limit: str) -> ConfigError:
+            return ConfigError([
+                "windows.return_window=null mines the interval span of windows.compact_lo="
+                f"{compact[0]} to windows.compact_hi={compact[1]}: {hi - lo + 1:.6g} "
+                f"intervals, too many to {limit}"
+            ])
+
+        # the scan holds the float terms window[0] .. hi + 1 as one array, and
+        # its later terms a block of shifts at a time, whatever zeta_max
+        if 8 * (hi + 2 - window[0]) > np.iinfo(np.intp).max:
+            raise too_many("index")
+        try:
+            return find_return_times(seq, window, zeta_max, max_returns)
+        except MemoryError as err:
+            raise too_many("hold") from err
 
 
 def _require_mapping(raw, name: str, issues: list[str]) -> dict:

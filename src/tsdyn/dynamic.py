@@ -3,12 +3,13 @@ equation as the impulsive march read back on the scale, the bounded
 solution and its periodic/Poisson split pulled back through the psi
 substitution, and delta-derivative residuals.
 
-``lift``, ``decompose`` and ``as_timescale_function`` take the evaluator
-alone and read the model it was built on (``evaluator.model``), so the
-points are evaluated and jumped with one model.  They share one path onto
-the scale: one ``locate`` call and one evaluator batch, a regular point at
-``psi(t)`` and a left endpoint at the impulse before it, whose row then
-takes the jump (:meth:`ImpulsiveModel.jump`) to give the right limit.
+``lift``, ``decompose``, ``lift_and_parts`` and ``as_timescale_function``
+take the evaluator alone and read the model it was built on
+(``evaluator.model``), so the points are evaluated and jumped with one
+model.  They share one path onto the scale: one ``locate`` call and one
+evaluator batch, a regular point at ``psi(t)`` and a left endpoint at the
+impulse before it, whose row then takes the jump
+(:meth:`ImpulsiveModel.jump`) to give the right limit.
 
 A solution on the scale stores regular samples for points where psi is
 defined and keeps the values at left endpoints (where psi is undefined and
@@ -145,9 +146,9 @@ def _grid(t_grid: Sequence[float]) -> np.ndarray:
 def _on_scale(model: ImpulsiveModel, points, evaluate):
     """``evaluate`` at points of the scale in one batch, elementwise: a regular
     point at ``psi(t)``, which rejects points off the scale, and a left endpoint
-    at the impulse before it, then jumped to its right limit.  Also returns,
-    over the flattened points, the left-endpoint mask and the impulse before
-    each point."""
+    at the impulse before it, not yet jumped (:func:`_jumped`).  Returns the
+    values, the left-endpoint mask and the impulse before each point, all
+    over the flattened points."""
     ts = model.ts
     t = np.asarray(points, dtype=float).reshape(-1)
     k, code = ts.locate(t)
@@ -155,15 +156,20 @@ def _on_scale(model: ImpulsiveModel, points, evaluate):
     s = np.empty(t.shape)
     s[~left] = ts.psi(t[~left])
     s[left] = ts.impulse_point(k[left] - 1)
-    values = evaluate(s)
-    for i, j in zip(np.flatnonzero(left).tolist(), (k[left] - 1).tolist()):
+    return evaluate(s), left, k - 1
+
+
+def _jumped(model: ImpulsiveModel, values: np.ndarray, left, jumps) -> np.ndarray:
+    """``values`` from :func:`_on_scale`, each left endpoint's row jumped in
+    place to its right limit."""
+    for i, j in zip(np.flatnonzero(left).tolist(), jumps[left].tolist()):
         values[i] = model.jump(j, values[i])
-    return values.reshape(np.shape(points) + values.shape[1:]), left, k - 1
+    return values
 
 
 def _lifted(ts: TimeScaleSpec, t: np.ndarray, y, left, jumps) -> TimeScaleSolution:
-    """A lifted solution from ``_on_scale`` values at the points ``t``: the
-    values at left endpoints go to the endpoint map, keyed by their jump."""
+    """A lifted solution from jumped ``_on_scale`` values at the points ``t``:
+    the values at left endpoints go to the endpoint map, keyed by their jump."""
     ends = dict(zip(jumps[left].tolist(), y[left]))
     return TimeScaleSolution(ts, t[~left], y[~left], ends, "lifted")
 
@@ -172,7 +178,8 @@ def lift(evaluator: BoundedSolutionEvaluator, t_grid: Sequence[float]) -> TimeSc
     """The bounded solution of the evaluator's model on a grid of the time
     scale, from one batched :meth:`BoundedSolutionEvaluator.value` call."""
     model, t = evaluator.model, _grid(t_grid)
-    return _lifted(model.ts, t, *_on_scale(model, t, evaluator.value))
+    values, left, jumps = _on_scale(model, t, evaluator.value)
+    return _lifted(model.ts, t, _jumped(model, values, left, jumps), left, jumps)
 
 
 def decompose(
@@ -186,7 +193,26 @@ def decompose(
     """
     model, t = evaluator.model, _grid(t_grid)
     parts, left, jumps = _on_scale(model, t, evaluator.parts)
+    parts = _jumped(model, parts, left, jumps)
     return tuple(_lifted(model.ts, t, parts[:, i], left, jumps) for i in (0, 1))
+
+
+def lift_and_parts(
+    evaluator: BoundedSolutionEvaluator, t_grid: Sequence[float], shifts
+) -> tuple[TimeScaleSolution, np.ndarray]:
+    """:func:`lift` on a grid, and the parts that :func:`as_timescale_function`
+    gives on the grid and on its copies moved by each of ``shifts``, shape
+    ``(1 + len(shifts), n, 2, m)`` with the grid itself in row 0, all from one
+    :meth:`BoundedSolutionEvaluator.parts` batch.  The lift sums row 0's
+    parts before a left endpoint jumps, as ``value`` does, so it is the same
+    bits as :func:`lift` on the grid."""
+    model, t = evaluator.model, _grid(t_grid)
+    points = np.add.outer(np.concatenate(([0.0], shifts)), t)
+    parts, left, jumps = _on_scale(model, points, evaluator.parts)
+    n = t.size
+    y = _jumped(model, parts[:n].sum(axis=-2), left[:n], jumps[:n])
+    parts = _jumped(model, parts, left, jumps).reshape(points.shape + parts.shape[1:])
+    return _lifted(model.ts, t, y, left[:n], jumps[:n]), parts
 
 
 def as_timescale_function(evaluator: BoundedSolutionEvaluator) -> Callable:
@@ -196,7 +222,11 @@ def as_timescale_function(evaluator: BoundedSolutionEvaluator) -> Callable:
     parts ``[periodic, sequence]`` with shape ``points.shape + (2, m)``;
     summing over the parts axis gives the full bounded solution.
     """
-    return lambda t: _on_scale(evaluator.model, t, evaluator.parts)[0]
+    def parts(t):
+        values = _jumped(evaluator.model, *_on_scale(evaluator.model, t, evaluator.parts))
+        return values.reshape(np.shape(t) + values.shape[1:])
+
+    return parts
 
 
 def delta_residual(model: ImpulsiveModel, sol: TimeScaleSolution, t: float) -> float:

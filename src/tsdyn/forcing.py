@@ -8,14 +8,17 @@ interval of the time scale.  Sequences come in two kinds, a logistic-map
 orbit pushed through a linear output map and an explicit integer-indexed
 table, and every reader uses only the members both have: ``dimension``,
 ``min_index()``, ``term(k)``, ``terms(lo, hi)``, the ``ceiling`` on every
-term's norm and ``rank_one(lo, hi)``: ``(z, C)`` with
-``terms(lo, hi) == np.outer(z, C)``, or ``None`` for a kind without it.  The
-return scan reads the distance of two rank-one terms in closed form,
-``||C|| |z_a - z_b|``, and the row norm of their difference otherwise.
+term's norm, ``rank_one(lo, hi)``: ``(z, C)`` with
+``terms(lo, hi) == np.outer(z, C)``, or ``None`` for a kind without it, and
+``pieces(lo, hi, size)``, which reads the terms forward, ``size`` at a time,
+each piece ``(z, C)`` or ``(rows, None)``.  The return scan reads the
+distance of two rank-one terms in closed form, ``||C|| |z_a - z_b|``, and
+the row norm of their difference otherwise.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from dataclasses import dataclass, field
@@ -191,6 +194,25 @@ def _logistic_tail(r: float, z: float, count: int):
         yield z
 
 
+def _orbit_pieces(r: float, orbit: np.ndarray, start: int, stop: int, size: int):
+    """The orbit at offsets ``start .. stop - 1`` from the cached ``orbit``, in
+    read-only pieces of ``size``: views of the cache as far as it reaches,
+    then iterates of its last value, computed a piece at a time and not kept.
+    The arithmetic and its order are those of a cache fill, so the bits are
+    the same."""
+    tail = _logistic_tail(r, float(orbit[-1]), stop - orbit.size)
+    for _ in itertools.islice(tail, max(0, start - orbit.size)):  # before start: not kept
+        pass
+    for a in range(start, stop, size):
+        b = min(a + size, stop)
+        z = orbit[a:b]
+        if z.size < b - a:  # past the cache
+            fresh = np.fromiter(tail, float, b - max(a, orbit.size))
+            z = np.concatenate((z, fresh)) if z.size else fresh
+            z.setflags(write=False)
+        yield z
+
+
 class LogisticSequence:
     """Bounded vector sequence built from a logistic-map orbit.
 
@@ -198,7 +220,11 @@ class LogisticSequence:
     index ``k_min`` and only extends forward; terms are ``C * z[k]`` with
     ``C = output_map``.  Orbit values are memoized in an append-only
     cache guarded by a lock, so concurrent readers observe the same values
-    as a sequential run.
+    as a sequential run.  Only the random-access readers (``rank_one``,
+    ``terms`` and ``term``, which the evaluator and
+    :func:`recurrence_defect` call) grow the cache; ``pieces`` reads it as
+    far as it reaches and iterates the rest without storing it, so a return
+    scan grows it only to its window.
 
     The default seed 0.4 sits away from the map's short periodic windows;
     the default seed index -2000 leaves the evaluation horizon of the
@@ -248,17 +274,21 @@ class LogisticSequence:
         """``||C||``: the orbit stays in [0, 1], so no term's norm exceeds it."""
         return self._ceiling
 
-    def rank_one(self, k_lo: int, k_hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """The read-only orbit ``z[k_lo..k_hi]`` (inclusive, in [0, 1]) and the
-        output map ``C``, with ``terms(k_lo, k_hi) == np.outer(z, C)``.  A grown
-        cache is a new array, so a returned orbit never changes."""
+    def _offsets(self, k_lo: int, k_hi: int) -> tuple[int, int]:
+        """The orbit offsets ``k_lo - k_min`` and ``k_hi - k_min + 1``."""
         k_lo, k_hi = int(k_lo), int(k_hi)
         if k_lo < self._k_min:
             raise ValueError(
                 f"sequence index {k_lo} precedes the seed index {self._k_min}; "
                 "the orbit does not extend backward"
             )
-        needed = k_hi - self._k_min + 1
+        return k_lo - self._k_min, k_hi - self._k_min + 1
+
+    def rank_one(self, k_lo: int, k_hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only orbit ``z[k_lo..k_hi]`` (inclusive, in [0, 1]) and the
+        output map ``C``, with ``terms(k_lo, k_hi) == np.outer(z, C)``.  A grown
+        cache is a new array, so a returned orbit never changes."""
+        start, needed = self._offsets(k_lo, k_hi)
         if needed > self._orbit.size:
             with self._lock:
                 if needed > self._orbit.size:
@@ -268,7 +298,16 @@ class LogisticSequence:
                     grown = np.concatenate((old, np.fromiter(tail, float, count)))
                     grown.setflags(write=False)
                     self._orbit = grown
-        return self._orbit[k_lo - self._k_min: needed], self._output
+        return self._orbit[start:needed], self._output
+
+    def pieces(self, k_lo: int, k_hi: int, size: int):
+        """The orbit ``z[k_lo..k_hi]`` read forward as read-only pieces of
+        ``size`` indices (the last may be shorter), each paired with ``C``.
+        The cache is read as far as it reaches and never grown: past it the
+        orbit is iterated from its last cached value, a piece at a time."""
+        start, stop = self._offsets(k_lo, k_hi)
+        return zip(_orbit_pieces(self._r, self._orbit, start, stop, int(size)),
+                   itertools.repeat(self._output))
 
     def terms(self, k_lo: int, k_hi: int) -> np.ndarray:
         """Stacked terms for ``k_lo..k_hi`` inclusive, shape ``(count, m)``."""
@@ -338,6 +377,13 @@ class TableSequence:
             raise KeyError(f"sequence has no entry at index {k}")
         return self._rows[lo:hi + 1]
 
+    def pieces(self, k_lo: int, k_hi: int, size: int):
+        """The terms ``k_lo..k_hi`` read forward as read-only views of
+        ``size`` rows (the last may be shorter), each paired with ``None``.
+        A range the table does not cover raises ``KeyError`` at once."""
+        rows = self.terms(k_lo, k_hi)
+        return ((rows[a:a + size], None) for a in range(0, len(rows), int(size)))
+
     def min_index(self) -> int:
         return self._first
 
@@ -393,17 +439,22 @@ class ReturnTimeSet:
         }
 
 
-def _term_distance(seq: PoissonSequence, k_lo: int, k_hi: int):
-    """``dist(a, b) = ||term(k_lo + a) - term(k_lo + b)||`` elementwise, for
-    offsets into ``k_lo..k_hi``: ``||C|| |z_a - z_b|`` for a sequence whose
-    ``rank_one`` gives ``(z, C)``, whose terms are ``C z_k``, and the row norm
-    of the difference of two terms for any other sequence."""
+def _piece(seq: PoissonSequence, k_lo: int, k_hi: int):
+    """The terms ``k_lo..k_hi`` as one piece of the form ``seq.pieces`` gives:
+    ``(z, C)`` from ``rank_one``, or ``(terms, None)`` for a kind without it."""
     rank = seq.rank_one(k_lo, k_hi)
-    if rank is None:
-        rows = seq.terms(k_lo, k_hi)
-        return lambda a, b: np.linalg.norm(rows[a] - rows[b], axis=1)
-    z, c = rank[0], float(np.linalg.norm(rank[1]))
-    return lambda a, b: c * np.abs(z[a] - z[b])
+    return (seq.terms(k_lo, k_hi), None) if rank is None else rank
+
+
+def _term_distance(output):
+    """``dist(x, y) = ||term_x - term_y||`` elementwise, for values ``x`` and
+    ``y`` of pieces paired with ``output``: ``||C|| |z_x - z_y|`` when the
+    output is a map ``C``, since rank-one terms are ``C z``, and the row norm
+    of the difference of two terms when it is ``None``."""
+    if output is None:
+        return lambda x, y: np.linalg.norm(x - y, axis=1)
+    c = float(np.linalg.norm(output))
+    return lambda x, y: c * np.abs(x - y)
 
 
 def recurrence_defect(seq: PoissonSequence, window: tuple[int, int], zeta: int) -> float:
@@ -414,8 +465,9 @@ def recurrence_defect(seq: PoissonSequence, window: tuple[int, int], zeta: int) 
     if hi < lo:
         raise ValueError(f"window is empty: {window}")
     first = min(lo, lo + zeta)
+    values, output = _piece(seq, first, max(hi, hi + zeta))
     k = np.arange(lo - first, hi - first + 1)
-    return float(np.max(_term_distance(seq, first, max(hi, hi + zeta))(k + zeta, k)))
+    return float(np.max(_term_distance(output)(values[k + zeta], values[k])))
 
 
 # Shifts per block of the return scan: the abandoning threshold tightens once
@@ -455,6 +507,13 @@ def find_return_times(
     is ``||C|| |z_a - z_b|`` in closed form, so the scan reads the orbit
     alone and the ``(zeta_max, m)`` term table is never built; any other
     sequence (a table) is scanned by the row norms of its terms.
+
+    The indices ``lo .. hi + zeta_max`` are read forward once.  The window
+    and the term after it come from the random-access path, so a logistic
+    cache grows only to ``hi + 1``; the rest streams through
+    ``seq.pieces``, one piece per block of shifts.  A block holds its own
+    terms and the ``width - 1`` that it shares with the block before, so
+    the scan's memory is one block and the window, whatever ``zeta_max``.
     """
     lo, hi = int(window[0]), int(window[1])
     if hi < lo:
@@ -471,23 +530,32 @@ def find_return_times(
         )
 
     width = hi - lo + 1
-    dist = _term_distance(seq, lo, hi + zeta_max)  # indices lo .. hi+zeta_max
+    values, output = _piece(seq, lo, hi + 1)
+    dist = _term_distance(output)
+    # the block of shifts start .. start + n - 1 reads the terms lo + start ..
+    # hi + start + n - 1: the width - 1 it shares with the block before, then
+    # the n of its piece; the first block shares lo + 2 .. hi + 1
+    stream = seq.pieces(hi + 2, hi + zeta_max, _SCAN_BLOCK)  # a short table raises here
+    shared = values[2:]
+    window_terms = values[:width]
     # shift 1 records (unless its defect overflows), so it bounds every block
     best = recurrence_defect(seq, (lo, hi), 1)
     records = [ReturnEntry(zeta=1, defect=best)] if best < math.inf else []
-    for start in range(2, zeta_max + 1, _SCAN_BLOCK):
-        zetas = np.arange(start, min(start + _SCAN_BLOCK, zeta_max + 1))
-        defects = np.zeros(zetas.size)
+    for start, (piece, _) in zip(range(2, zeta_max + 1, _SCAN_BLOCK), stream):
+        terms = np.concatenate((shared, piece))  # terms[j] is the term lo + start + j
+        shared = terms[len(piece):].copy()  # a copy, so this block's terms can go
+        shifts = np.arange(len(piece))  # the live shifts, as start + shifts
+        defects = np.zeros(shifts.size)
         for offset in range(width):
-            if zetas.size == 0:
+            if shifts.size == 0:
                 break
-            np.maximum(defects, dist(offset + zetas, offset), out=defects)
+            np.maximum(defects, dist(terms[offset + shifts], window_terms[offset]), out=defects)
             live = defects < best
-            zetas, defects = zetas[live], defects[live]
+            shifts, defects = shifts[live], defects[live]
         # prior[j]: the best defect of every shorter shift; a record is strictly below it
         prior = np.minimum.accumulate(np.concatenate(([best], defects)))
         records.extend(
-            ReturnEntry(zeta=int(zetas[j]), defect=float(defects[j]))
+            ReturnEntry(zeta=start + int(shifts[j]), defect=float(defects[j]))
             for j in np.flatnonzero(defects < prior[:-1])
         )
         best = float(prior[-1])

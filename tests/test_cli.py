@@ -44,6 +44,21 @@ LIBRARY_ERRORS = sorted(
 )
 
 
+def _capped_main(argv) -> tuple[int, str]:
+    """The CLI's exit code and stderr, run in a child whose address space is
+    capped at about 3 GB, so a large allocation fails instead of filling the
+    machine's memory."""
+    def cap() -> None:
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        resource.setrlimit(resource.RLIMIT_AS, (3_000_000 * 1024, hard))
+
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    child = subprocess.run([sys.executable, "-m", "tsdyn.cli", *argv], env=env,
+                           preexec_fn=cap, capture_output=True, text=True, timeout=120)
+    return child.returncode, child.stderr
+
+
 @pytest.fixture()
 def example_raw():
     return json.loads(Path(bundled_example_path()).read_text())
@@ -319,10 +334,11 @@ class TestSubcommands:
         assert json.loads((tmp_path / "verify.json").read_text()) == expected
 
     @pytest.mark.parametrize("max_returns", [3, 5])
-    def test_verify_makes_two_evaluator_batches(self, tmp_path, monkeypatch, example_raw,
-                                                max_returns):
-        # one batch for the lift, and one for the periodicity and recurrence
-        # reports, whose compact grid is stacked with all its shifted copies
+    def test_verify_makes_one_evaluator_batch(self, tmp_path, monkeypatch, example_raw,
+                                              max_returns):
+        # the compact grid stacked with all its shifted copies: the bound
+        # report lifts row 0, and the periodicity and recurrence reports read
+        # the parts of every row
         batches = []
         parts = BoundedSolutionEvaluator.parts
 
@@ -335,7 +351,8 @@ class TestSubcommands:
         run("verify", parse_config(example_raw), tmp_path)
         verify = json.loads((tmp_path / "verify.json").read_text())
         assert len(verify["poisson"]["parameters"]["zetas"]) == max_returns
-        assert len(batches) == 2
+        points = verify["poisson"]["parameters"]["grid_points"]
+        assert batches == [(2 + max_returns) * points]
 
     def test_periodicity_pairs_every_grid_point(self, tmp_path, example_raw):
         # with delta = 2.7 the interval length 5.3 is no whole number of grid
@@ -499,17 +516,7 @@ class TestMain:
         argv = ["example", "--config", str(example_file), "--out", str(out),
                 "--override", override]
         if override == "tolerances.grid_step=1e-9":
-            # in a child whose address space is capped at about 3 GB, so the
-            # allocation fails instead of filling the machine's memory
-            def cap() -> None:
-                hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-                resource.setrlimit(resource.RLIMIT_AS, (3_000_000 * 1024, hard))
-
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-                   "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-            child = subprocess.run([sys.executable, "-m", "tsdyn.cli", *argv], env=env,
-                                   preexec_fn=cap, capture_output=True, text=True, timeout=120)
-            code, err = child.returncode, child.stderr
+            code, err = _capped_main(argv)
         else:
             code, err = main(argv), capsys.readouterr().err
         assert code == EXIT_USAGE
@@ -530,6 +537,20 @@ class TestMain:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ConfigError"
         assert "windows.compact_hi=1e+300" in record["message"]
+        assert not out.exists()
+
+    def test_null_return_window_too_wide_to_hold_fails(self, tmp_path, example_file):
+        # 1.25e11 intervals can be indexed but not held: the scan's window
+        # fails to allocate, and the record names the compact window
+        out = tmp_path / "out"
+        code, err = _capped_main(["example", "--config", str(example_file), "--out", str(out),
+                                  "--override", "windows.compact_hi=1e12",
+                                  "--override", "windows.return_window=null"])
+        assert code == EXIT_USAGE
+        record = json.loads(err.strip())
+        assert record["error"] == "ConfigError"
+        assert "windows.compact_hi=1000000000000.0" in record["message"]
+        assert "too many to hold" in record["message"]
         assert not out.exists()
 
     @pytest.mark.parametrize("override", ["windows.zeta_max=0", "windows.max_returns=0"])

@@ -11,10 +11,12 @@ from tsdyn import (
     TrigForcing,
     as_timescale_function,
     certify,
+    compact_grid,
     decompose,
     delta_residual,
     integrate,
     lift,
+    lift_and_parts,
     matriciant,
     simulate_dynamic,
 )
@@ -196,6 +198,23 @@ class TestLift:
         batch = theta(np.array([[9.0, 4.0], [0.0, 9.0]]))
         assert batch.shape == (2, 2, 2, 2)
         assert np.array_equal(batch[0, 1], theta(4.0))
+
+    def test_lift_and_parts_is_one_batch_of_both(self, model5, cert5, ts5):
+        # the grid holds the left endpoints 4 and 12, and the shifts move it
+        # by whole periods, onto more left endpoints
+        ev = BoundedSolutionEvaluator(model5, cert5, tol=1e-9)
+        grid = compact_grid(ts5, 0.0, 17.0, 0.25)
+        assert {4.0, 12.0} <= set(grid)
+        shifts = ts5.period * np.array([1, 3, 1503])
+        theta, parts = lift_and_parts(ev, grid, shifts)
+        want = lift(ev, grid)
+        assert theta.t.tobytes() == want.t.tobytes() and theta.y.tobytes() == want.y.tobytes()
+        assert theta.endpoint_values.keys() == want.endpoint_values.keys()
+        for k, v in want.endpoint_values.items():  # summed, then jumped, as value is
+            assert theta.endpoint_values[k].tobytes() == v.tobytes()
+        points = np.add.outer(np.concatenate(([0.0], shifts)), grid)
+        assert parts.shape == (4, len(grid), 2, 2)
+        assert parts.tobytes() == as_timescale_function(ev)(points).tobytes()
 
 
 class TestDeltaResidual:

@@ -182,6 +182,24 @@ class TestLogisticSequence:
         for k, value in zip(indices, results):
             assert np.array_equal(value, expected[k])
 
+    def test_pieces_read_the_orbit_forward(self):
+        reference = LogisticSequence(3.9, 0.4, k_min=-7, output_map=(1.0, 2.0))
+        orbit, C = reference.rank_one(-7, 2_000)
+        for cached, (lo, hi), size in [(-7, (-7, 2_000), 64), (500, (-7, 2_000), 1),
+                                       (500, (300, 1_700), 333), (20, (900, 1_000), 7),
+                                       (20, (5, 4), 3)]:
+            seq = LogisticSequence(3.9, 0.4, k_min=-7, output_map=(1.0, 2.0))
+            seq.rank_one(-7, cached)  # views of the cache below, iterates above
+            pieces = list(seq.pieces(lo, hi, size))
+            assert all(np.array_equal(c, C) for _, c in pieces)
+            assert [z.size for z, _ in pieces] == [min(size, hi + 1 - a)
+                                                   for a in range(lo, hi + 1, size)]
+            z = np.concatenate([np.empty(0), *(z for z, _ in pieces)])
+            assert z.tobytes() == orbit[lo + 7:hi + 8].tobytes()
+            assert not any(z.flags.writeable for z, _ in pieces)
+        with pytest.raises(ValueError, match="does not extend backward"):
+            reference.pieces(-8, 0, 4)
+
     def test_sup_norm(self, sequence5):
         observed, ceiling = sequence5.sup_norm(-2000, 8000)
         scale = math.sqrt(5.0)
@@ -228,6 +246,15 @@ class TestTableSequence:
     def test_non_finite_entry_named(self):
         with pytest.raises(ValueError, match="entry 3 must be a finite vector"):
             TableSequence({k: [0.0, math.inf if k == 3 else 1.0] for k in range(2, 6)})
+
+    def test_pieces_are_views_of_the_rows(self):
+        seq = TableSequence({k: [0.5 * k, 1.0] for k in range(-3, 7)})
+        pieces = list(seq.pieces(-2, 5, 3))
+        assert [output for _, output in pieces] == [None, None, None]
+        assert all(np.shares_memory(rows, seq.terms(-3, 6)) for rows, _ in pieces)
+        assert np.array_equal(np.concatenate([rows for rows, _ in pieces]), seq.terms(-2, 5))
+        with pytest.raises(KeyError, match="no entry at index 7"):
+            seq.pieces(0, 7, 3)  # at once, before any piece is read
 
     def test_terms_are_views_of_one_array(self):
         seq = TableSequence({k: [0.5 * k, 1.0] for k in range(-3, 7)})
@@ -306,6 +333,37 @@ class TestReturnTimes:
         assert returns.entries
         # the (200_021, 8) term table alone would be about 12 MiB
         assert peak < 4 * 2 ** 20
+
+    def test_scan_memory_is_flat_in_zeta_max(self):
+        def peak(zeta_max):
+            seq = LogisticSequence(3.9, 0.4, k_min=0, output_map=(1.0, 2.0))
+            tracemalloc.start()
+            try:
+                find_return_times(seq, (0, 20), zeta_max)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(20_000)  # numpy's first-call allocations, outside the measurement
+        small, large = peak(100_000), peak(400_000)
+        # one block of 2^14 shifts and the window, whatever zeta_max: filling
+        # the orbit to zeta_max alone would take 3.2 MB at 4e5
+        assert large < 1.5 * 2 ** 20
+        assert large <= 1.1 * small
+
+    def test_scan_grows_the_cache_only_to_its_window(self):
+        find_return_times(LogisticSequence(3.9, 0.4, k_min=0), (0, 20), 20_000)  # warm up
+        seq = LogisticSequence(3.9, 0.4, k_min=0, output_map=(1.0, 2.0))
+        tracemalloc.start()
+        try:
+            returns = find_return_times(seq, (0, 20), 400_000)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert returns.entries
+        # what is still allocated is the sequence's cache (and the records):
+        # the window's 22 orbit values, not the 400_021 the scan read
+        assert held < 64 * 2 ** 10
 
     def test_window_validation(self, sequence5):
         with pytest.raises(ValueError, match="empty"):

@@ -394,6 +394,7 @@ class InterfaceOnly:
     def __init__(self, table: TableSequence) -> None:
         self.dimension, self.ceiling = table.dimension, table.ceiling
         self.min_index, self.term, self.terms = table.min_index, table.term, table.terms
+        self.pieces = table.pieces
 
     def rank_one(self, k_lo, k_hi):
         return None

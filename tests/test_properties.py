@@ -397,6 +397,13 @@ def return_scans(draw):
 )
 @example(scan=(_quantized_table(1, 2, 0, 0, 150, 0), (0, 0), 150), max_count=8, block=1)
 @example(scan=(_quantized_table(2, 3, -3, 2, 64, 1), (-3, 2), 64), max_count=1, block=16)
+# blocks narrower than the window: each block shares width - 1 terms with the
+# block before, and at block=1 that is all but one of its terms
+@example(scan=(_logistic(2, 3.9, -2, 5), (-2, 3), 40), max_count=8, block=1)
+@example(scan=(_quantized_table(2, 3, 0, 5, 30, 2), (0, 5), 30), max_count=8, block=4)
+# zeta_max below the width: the stream after the window is shorter than it
+@example(scan=(_logistic(1, 3.7, 0, 7), (0, 5), 3), max_count=3, block=2)
+@example(scan=(_quantized_table(1, 2, 0, 7, 4, 3), (0, 7), 4), max_count=4, block=1)
 # shift 1 alone: the scan records it before its blocks, which are then empty
 @example(scan=(_logistic(2, 3.9, -2, 3), (-2, 1), 1), max_count=3, block=1)
 # shifts 2 and 3 each record a defect within a relative 1e-5 of the last, a block later
