@@ -188,8 +188,32 @@ class SupNormBound(NamedTuple):
 
 
 def _logistic_tail(r: float, z: float, count: int):
-    """The ``count`` logistic iterates after ``z``, in plain Python floats."""
-    for _ in range(count):
+    """The ``count`` logistic iterates after ``z``, in plain Python floats.
+
+    The loop is unrolled eight times: the step itself is a few float
+    operations, so the cost of one loop iteration is a large share of it.
+    Filling 10^6 terms through ``np.fromiter`` took 0.074-0.081 s with one
+    step per iteration and 0.060-0.065 s with eight (CPython 3.11, 2-vCPU
+    Xeon).  Each step is the same expression in the same order, so the
+    iterates have the same bits."""
+    for _ in range(count >> 3):
+        z = r * z * (1.0 - z)
+        yield z
+        z = r * z * (1.0 - z)
+        yield z
+        z = r * z * (1.0 - z)
+        yield z
+        z = r * z * (1.0 - z)
+        yield z
+        z = r * z * (1.0 - z)
+        yield z
+        z = r * z * (1.0 - z)
+        yield z
+        z = r * z * (1.0 - z)
+        yield z
+        z = r * z * (1.0 - z)
+        yield z
+    for _ in range(count & 7):
         z = r * z * (1.0 - z)
         yield z
 
@@ -495,12 +519,15 @@ def find_return_times(
     Within a block it walks the window offsets in order, keeps each live
     shift's running maximum of ``||term(k + zeta) - term(k)||`` and, after
     each offset, abandons every shift whose running maximum is not strictly
-    below the best defect of all earlier blocks.  An abandoned shift has
-    defect >= running maximum >= best, so it cannot strictly improve on the
-    best and is never a record; it also cannot lower the running best.  The
-    survivors' defects are the distances of :func:`recurrence_defect` and
-    the maximum is exact, so the records, their defects and the tie rule
-    (a tie never records) are those of the full scan.
+    below the best defect of all earlier blocks.  At offset 0 every shift of
+    the block is live, so its distances are one slice of the block's terms
+    against the window's first term, with no index array and no gather.  An
+    abandoned shift has defect >= running maximum >= best, so it cannot
+    strictly improve on the best and is never a record; it also cannot lower
+    the running best.  The survivors' defects are the distances of
+    :func:`recurrence_defect` and the maximum is exact, so the records, their
+    defects and the tie rule (a tie never records) are those of the full
+    scan.
 
     One loop serves every sequence kind.  For a sequence whose ``rank_one``
     gives ``(z, C)`` (a :class:`LogisticSequence`) the distance of two terms
@@ -544,9 +571,11 @@ def find_return_times(
     for start, (piece, _) in zip(range(2, zeta_max + 1, _SCAN_BLOCK), stream):
         terms = np.concatenate((shared, piece))  # terms[j] is the term lo + start + j
         shared = terms[len(piece):].copy()  # a copy, so this block's terms can go
-        shifts = np.arange(len(piece))  # the live shifts, as start + shifts
-        defects = np.zeros(shifts.size)
-        for offset in range(width):
+        # offset 0: every shift of the block is live, so one slice reads it
+        defects = dist(terms[:len(piece)], window_terms[0])
+        shifts = np.flatnonzero(defects < best)  # the live shifts, as start + shifts
+        defects = defects[shifts]
+        for offset in range(1, width):
             if shifts.size == 0:
                 break
             np.maximum(defects, dist(terms[offset + shifts], window_terms[offset]), out=defects)

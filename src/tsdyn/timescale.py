@@ -254,11 +254,19 @@ class TimeScaleSpec:
 
         Uses the half-open membership ``impulse_point(k-1) < s <=
         impulse_point(k)`` and returns ``s + k * gap``.  Left-continuous at
-        impulse points, with a right jump of size ``gap``.
+        impulse points, with a right jump of size ``gap``.  Next to an impulse
+        the snap is that of :meth:`locate`: ``s + r * gap`` for the nearest
+        ``r`` when it lies within tolerance of right endpoint ``r``, so the
+        point returned is never in a hole.
         """
         if not math.isfinite(s):
             raise ValueError(f"s must be finite, got {s!r}")
-        return s + _checked_index(_snapped_ceil((s - self.anchor) / self.stride)) * self.gap
+        u = (s - self.anchor) / self.stride
+        r = _checked_index(np.rint(u))
+        t = s + r * self.gap
+        if abs(t - self.endpoint(2 * r)) <= _edge_tol(t):
+            return t
+        return s + _checked_index(math.ceil(u)) * self.gap
 
     # ------------------------------------------------------------------
     # impulse moments

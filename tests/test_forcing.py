@@ -15,6 +15,7 @@ from tsdyn import (
     find_return_times,
     recurrence_defect,
 )
+from tsdyn.forcing import _logistic_tail
 from tsdyn.matrixkit import expm
 
 
@@ -157,18 +158,30 @@ class TestLogisticSequence:
     def test_growth_matches_scalar_recurrence(self):
         r, z = 3.9, 0.4
         reference = [z]
-        for _ in range(9_999):
+        for _ in range(2 ** 14 + 5):
             z = r * z * (1.0 - z)
             reference.append(z)
+        bits = np.array(reference).view(np.int64)
+        # the orbit step is unrolled eight times: every remainder, and a long
+        # run, gives the bits of one step per iteration
+        for count in [*range(18), 2 ** 14 + 5]:
+            tail = np.fromiter(_logistic_tail(r, 0.4, count), float, count)
+            assert np.array_equal(tail.view(np.int64), bits[1:count + 1])
         seq = LogisticSequence(r, 0.4, k_min=-7, output_map=(1.0,))
         for count in (1, 2, 3, 17, 130, 2_500, 10_000):  # several cache growths
             assert seq.rank_one(-7, count - 8)[0].tolist() == reference[:count]
             assert seq.terms(-7, count - 8)[:, 0].tolist() == reference[:count]
-        assert seq.terms(-7, 9_992)[:, 0].tolist() == reference
+        assert seq.terms(-7, 9_992)[:, 0].tolist() == reference[:10_000]
         z = seq.rank_one(-7, -5)[0]
         with pytest.raises(ValueError):  # a reader cannot write the cache
             z[:] = 0.0
         assert seq.rank_one(-7, -5)[0].tolist() == reference[:3]
+        # pieces iterate past the cache with the same step: their bits are rank_one's
+        orbit = seq.rank_one(-7, 2 ** 14 - 3)[0]
+        for size in (1, 7, 8, 9, 4097):
+            fresh = LogisticSequence(r, 0.4, k_min=-7, output_map=(1.0,))
+            z = np.concatenate([piece for piece, _ in fresh.pieces(-7, 2 ** 14 - 3, size)])
+            assert np.array_equal(z.view(np.int64), orbit.view(np.int64))
 
     def test_concurrent_reads_match_sequential(self):
         from concurrent.futures import ThreadPoolExecutor

@@ -140,6 +140,16 @@ def test_components(model, s):
 
 @PROPERTY_SETTINGS
 @given(model=stable_models(), s=points)
+# 1e-12 lies past the impulse at 0 by more than locate's snap and less than
+# a snap measured in strides of 3, so psi_inv must snap as locate does
+@example(
+    model=ImpulsiveModel(
+        matrix=np.array([[-1.0]]), ts=TimeScaleSpec(anchor=0.0, period=6.0, gap=3.0),
+        forcing=TrigForcing(6.0, (ForcingComponent(0.0, (Harmonic(1, 0.0, 0.0),)),)),
+        sequence=LogisticSequence(3.7, 0.4, k_min=-2000, output_map=[1.0]),
+    ),
+    s=[1e-12],
+)
 def test_left_endpoints_join_the_batch(model, s):
     # lift and decompose evaluate each left endpoint inside their one batch,
     # at the impulse before it; the result must be the jump of that impulse's
@@ -414,6 +424,15 @@ def return_scans(draw):
     scan=(LogisticSequence(3.3, 0.6546884913226735, k_min=0, output_map=[1.4343491343457004]),
           (380, 381), 2031),
     max_count=50, block=forcing._SCAN_BLOCK,
+)
+# a window of width 1: offset 0, read as one slice, is the whole defect
+@example(scan=(_logistic(2, 3.9, 4, 11), (4, 4), 100), max_count=8, block=8)
+# shift 1's defect is 1, so no shift of the block (2, 3) survives offset 0;
+# shift 4 of the next block records 0.5
+@example(
+    scan=(TableSequence({k: [v] for k, v in enumerate([0.0, 1.0, 1.0, 1.0, 0.5, 0.5, 0.5])}),
+          (0, 1), 5),
+    max_count=8, block=2,
 )
 def test_pruned_return_scan_matches_full_scan(scan, max_count, block):
     seq, (lo, hi), zeta_max = scan

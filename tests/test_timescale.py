@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tsdyn import TimeScaleDomainError, TimeScaleSpec
@@ -246,14 +246,23 @@ def same_bits(a, b) -> bool:
 
 
 @st.composite
-def scales_and_points(draw):
-    """A random valid scale and points on its edges, within one ulp and
-    3e-12 relative of them, in its holes and anywhere in between."""
+def valid_scales(draw):
+    """A random valid scale."""
     period = draw(st.floats(0.5, 50.0))
     gap = draw(st.floats(0.02, 0.98)) * period
     anchor = draw(st.floats(0.0, 0.99)) * (period - gap)
-    ts = TimeScaleSpec(anchor=anchor, period=period, gap=gap)
-    ks = np.array(draw(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=8)))
+    return TimeScaleSpec(anchor=anchor, period=period, gap=gap)
+
+
+indices = st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=8)
+
+
+@st.composite
+def scales_and_points(draw):
+    """A random valid scale and points on its edges, within one ulp and
+    3e-12 relative of them, in its holes and anywhere in between."""
+    ts = draw(valid_scales())
+    ks = np.array(draw(indices))
     edges = np.concatenate([
         ts.anchor + ks * ts.period,                  # right endpoints
         ts.anchor + ts.gap + (ks - 1) * ts.period,   # left endpoints
@@ -267,6 +276,25 @@ def scales_and_points(draw):
         np.array(draw(st.lists(st.floats(-1e6, 1e6), max_size=16))),
     ])
     return ts, points
+
+
+class TestPsiInverse:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(valid_scales(), indices)
+    # at stride 3, 1e-12 past the impulse at 0 is outside locate's snap but
+    # inside one of 2**-40 strides
+    @example(TimeScaleSpec(anchor=0.0, period=6.0, gap=3.0), [0])
+    def test_psi_inv_never_lands_in_a_hole(self, ts, ks):
+        # psi_inv snaps next to an impulse as locate does, at its right
+        # endpoint or past the left endpoint after the hole
+        impulses = ts.impulse_point(np.array(ks))
+        scale = np.maximum(1.0, np.abs(impulses))
+        near = np.concatenate([
+            impulses, np.nextafter(impulses, np.inf), np.nextafter(impulses, -np.inf),
+            *(impulses + sign * rel * scale for sign in (1.0, -1.0) for rel in (1e-12, 3e-12)),
+        ])
+        for s in near.tolist():
+            assert ts.locate(ts.psi_inv(s))[1] != GAP, s
 
 
 class TestArrayForms:
