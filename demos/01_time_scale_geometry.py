@@ -42,6 +42,6 @@ print("  impulses in [0, 16):", ts.count_impulses(0.0, 16.0))
 rng = np.random.default_rng(0)
 ks = rng.integers(-500, 500, size=1000)
 offsets = rng.integers(0, 2 ** 20, size=1000)
-pts = [ts.endpoint(2 * int(k)) - ts.stride * int(j) / 2 ** 20 for k, j in zip(ks, offsets)]
-exact = sum(ts.psi_inv(ts.psi(t)) == t for t in pts)
+pts = np.array([ts.endpoint(2 * int(k)) - ts.stride * int(j) / 2 ** 20 for k, j in zip(ks, offsets)])
+exact = np.count_nonzero(ts.psi_inv(ts.psi(pts)) == pts)
 print(f"\npsi round trip is exact on {exact}/1000 random scale points")

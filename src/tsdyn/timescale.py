@@ -13,9 +13,20 @@ real line; the images of the right endpoints are the impulse moments
     impulse_point(k) = anchor + k * (period - gap).
 
 All boundary classification uses a relative tolerance of 2**-40 so that
-floating-point noise cannot flip a point across an interval edge; a point
-within tolerance of an edge is treated as being exactly on the edge.  This
-module is the one home of that snap and of the psi formula.
+floating-point noise cannot flip a point across an interval edge.  It is
+applied by two snaps, one on each side of psi:
+
+* the point snap of ``locate``: a point ``t`` within tolerance of an edge,
+  measured at ``t``, is treated as being exactly on the edge;
+* the impulse snap on the line: ``s`` is treated as impulse ``k`` when
+  ``s + k * gap`` is within tolerance of right endpoint ``k``, or
+  ``s + (k + 1) * gap`` of left endpoint ``k + 1``, each measured as the
+  point snap measures it at that edge of hole ``k``.
+
+``impulse_index_below``, ``count_impulses`` and ``psi_inv`` read the impulse
+snap, so ``psi_inv(s)`` is never in a hole or on a left endpoint and
+``locate`` puts it in the interval above ``impulse_index_below(s)``.  This
+module is the one home of both snaps and of the psi formula.
 """
 
 from __future__ import annotations
@@ -50,6 +61,15 @@ def _scalar(x):
     return np.asarray(x).item() if np.ndim(x) == 0 else x
 
 
+def _finite(x, name):
+    """``x`` as a float array; raises if any entry is nan or infinite."""
+    x = np.asarray(x, dtype=float)
+    finite = np.isfinite(x)
+    if not finite.all():
+        raise ValueError(f"{name} must be finite, got {x[~finite].item(0)!r}")
+    return x
+
+
 def _checked_index(k):
     """Whole numbers as int64 indices, elementwise; raises past 2**52."""
     k = np.asarray(k, dtype=float)
@@ -73,8 +93,8 @@ def sample_index(grid: np.ndarray, t):
 
 
 def _snapped_ceil(u):
-    """ceil(u) as a float, treating values within tolerance of an integer as
-    exact; callers check the index they make of it."""
+    """The number of steps ``ceil(u)`` as a float, treating a ``u`` within
+    tolerance of a whole number as that number; callers check the count."""
     u = np.asarray(u, dtype=float)
     r = np.rint(u)
     return np.where(np.abs(u - r) <= _edge_tol(u), r, np.ceil(u))
@@ -118,10 +138,14 @@ class TimeScaleSpec:
       bookkeeping (``psi(0) == 0`` in particular) relies on it, so violating
       specs are rejected rather than re-anchored.
 
-    ``endpoint``, ``locate``, ``contains``, ``psi``, ``impulse_point`` and
-    ``impulse_index_below`` act elementwise on arrays; a scalar is the 0-d
-    case and returns a Python ``int``, ``float`` or ``str``.  Indices beyond
-    ``2**52`` raise, so ``k * period`` stays exact.
+    ``endpoint``, ``locate``, ``contains``, ``psi``, ``psi_inv``,
+    ``impulse_point`` and ``impulse_index_below`` act elementwise on arrays;
+    a scalar is the 0-d case and returns a Python ``int``, ``float`` or
+    ``str``.  ``locate`` snaps points of the scale onto edges, and
+    ``psi_inv`` and ``impulse_index_below`` snap points of the line onto
+    impulses at the edges of the hole they open (see the module docstring).
+    Nan and infinite points raise.  Indices beyond ``2**52`` raise, so
+    ``k * period`` stays exact.
 
     Instances are immutable and every method is a pure function, so a spec
     may be shared freely across threads.
@@ -188,10 +212,7 @@ class TimeScaleSpec:
 
     def _classify(self, t):
         """``locate`` with each code given by its index in ``_CODES``."""
-        t = np.asarray(t, dtype=float)
-        finite = np.isfinite(t)
-        if not finite.all():
-            raise ValueError(f"t must be finite, got {t[~finite].item(0)!r}")
+        t = _finite(t, "t")
         tol = _edge_tol(t)
         kc = np.floor((t - self.anchor) / self.period)
         code = np.full(t.shape, _GAP, dtype=np.int8)
@@ -249,24 +270,21 @@ class TimeScaleSpec:
                 raise TimeScaleDomainError(f"t={t[bad].item(0)!r} {why}")
         return _scalar(t - k * self.gap)
 
-    def psi_inv(self, s: float) -> float:
-        """Inverse of :meth:`psi`; defined on all of the real line.
+    def psi_inv(self, s):
+        """Inverse of :meth:`psi`, elementwise; defined on all of the real line.
 
         Uses the half-open membership ``impulse_point(k-1) < s <=
         impulse_point(k)`` and returns ``s + k * gap``.  Left-continuous at
-        impulse points, with a right jump of size ``gap``.  Next to an impulse
-        the snap is that of :meth:`locate`: ``s + r * gap`` for the nearest
-        ``r`` when it lies within tolerance of right endpoint ``r``, so the
-        point returned is never in a hole.
+        impulse points, with a right jump of size ``gap``.  A point that
+        snaps onto impulse ``k`` returns right endpoint ``k`` itself, so the
+        point returned is never in a hole nor on a left endpoint, and
+        :meth:`locate` gives it the index ``k`` that :meth:`impulse_index_below`
+        puts above ``s``.
         """
-        if not math.isfinite(s):
-            raise ValueError(f"s must be finite, got {s!r}")
-        u = (s - self.anchor) / self.stride
-        r = _checked_index(np.rint(u))
-        t = s + r * self.gap
-        if abs(t - self.endpoint(2 * r)) <= _edge_tol(t):
-            return t
-        return s + _checked_index(math.ceil(u)) * self.gap
+        s = np.asarray(s, dtype=float)
+        k, snap = self._impulse_above(s)
+        k = _checked_index(k)
+        return _scalar(np.where(snap, self.anchor + k * self.period, s + k * self.gap))
 
     # ------------------------------------------------------------------
     # impulse moments
@@ -277,7 +295,25 @@ class TimeScaleSpec:
 
     def impulse_index_below(self, s):
         """Largest ``k`` with ``impulse_point(k) < s`` (strict, snapped)."""
-        return _checked_index(_snapped_ceil((s - self.anchor) / self.stride) - 1)
+        return _checked_index(self._impulse_above(s)[0] - 1)
+
+    def _impulse_above(self, s):
+        """The ``k`` with ``impulse_point(k-1) < s <= impulse_point(k)`` as a
+        float, and whether ``s`` snaps onto impulse ``k``, elementwise.
+
+        ``s`` snaps onto the nearest impulse ``r`` when ``s + r * gap`` is
+        within tolerance of right endpoint ``r``, or ``s + (r + 1) * gap`` of
+        left endpoint ``r + 1``: either edge of hole ``r``, each measured as
+        :meth:`locate` measures it.  Elsewhere ``k`` is the plain ceiling.
+        """
+        s = _finite(s, "s")
+        u = (s - self.anchor) / self.stride
+        r = np.rint(u)
+        t = s + r * self.gap
+        snap = np.abs(t - (self.anchor + r * self.period)) <= _edge_tol(t)
+        t = s + (r + 1) * self.gap
+        snap |= np.abs(t - (self.anchor + self.gap + r * self.period)) <= _edge_tol(t)
+        return np.where(snap, r, np.ceil(u)), snap
 
     def count_impulses(self, r: float, s: float) -> int:
         """Number of impulse moments in the half-open interval ``[r, s)``."""

@@ -49,6 +49,18 @@ def cert5(model5):
     return certify(model5)
 
 
+def near_impulses(ts, ks):
+    """The impulse points ``ks`` of ``ts``, one ulp either side of them and
+    5e-13 to 3e-12 relative either side: inside the snap and just outside."""
+    impulses = ts.impulse_point(np.asarray(ks))
+    scale = np.maximum(1.0, np.abs(impulses))
+    return np.concatenate([
+        impulses, np.nextafter(impulses, np.inf), np.nextafter(impulses, -np.inf),
+        *(impulses + sign * rel * scale
+          for sign in (1.0, -1.0) for rel in (5e-13, 1e-12, 2e-12, 3e-12)),
+    ])
+
+
 def zero_table(dimension, k_lo, k_hi):
     return TableSequence({k: np.zeros(dimension) for k in range(k_lo, k_hi + 1)})
 

@@ -23,7 +23,7 @@ from tsdyn import (
 
 from tsdyn.timescale import LEFT_ENDPOINT, RIGHT_ENDPOINT
 
-from conftest import ROTATION_A, zero_table
+from conftest import ROTATION_A, near_impulses, zero_table
 
 
 def quiet_model(ts, dimension=2):
@@ -140,6 +140,16 @@ class TestSimulateDynamic:
             assert np.array_equal(sol.y[0], y0)
             assert set(sol.endpoint_values) == {k}
             assert sol.t.size == 1 + 50  # the start, then 50 steps over the next interval
+
+    def test_marches_on_the_line_and_on_the_scale_fire_the_same_jumps(self, model5, ts5):
+        # integrate counts the impulses above s with impulse_index_below,
+        # simulate_dynamic those above psi_inv(s) with locate; next to an
+        # impulse both must read one snap
+        x = np.array([0.3, -0.2])
+        for s in near_impulses(ts5, range(-3, 4)).tolist():
+            fired = [jump.index for jump in integrate(model5, x, s, s + 7.3, 1e-2).jumps]
+            sol = simulate_dynamic(model5, x, ts5.psi_inv(s), ts5.psi_inv(s + 7.3), 1e-2)
+            assert sorted(sol.endpoint_values) == fired, s
 
     def test_start_on_left_endpoint_uses_given_value(self, model5):
         y0 = np.array([1.0, 1.0])

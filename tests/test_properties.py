@@ -140,8 +140,9 @@ def test_components(model, s):
 
 @PROPERTY_SETTINGS
 @given(model=stable_models(), s=points)
-# 1e-12 lies past the impulse at 0 by more than locate's snap and less than
-# a snap measured in strides of 3, so psi_inv must snap as locate does
+# 1e-12 past the impulse at 0 is outside the snap at right endpoint 0 and
+# inside the one at left endpoint 1, across the hole, so impulse_index_below
+# and psi_inv must read the same snap
 @example(
     model=ImpulsiveModel(
         matrix=np.array([[-1.0]]), ts=TimeScaleSpec(anchor=0.0, period=6.0, gap=3.0),
@@ -158,7 +159,7 @@ def test_left_endpoints_join_the_batch(model, s):
     ts = model.ts
     s = np.asarray(s)
     impulses = ts.impulse_index_below(s).tolist()
-    grid = [ts.endpoint(2 * k + 1) for k in impulses] + [ts.psi_inv(x) for x in s.tolist()]
+    grid = [ts.endpoint(2 * k + 1) for k in impulses] + ts.psi_inv(s).tolist()
     full = lift(ev, grid)
     periodic, sequence = decompose(ev, grid)
     for k in impulses:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,9 +12,12 @@ from tsdyn.timescale import (
     INTERIOR,
     LEFT_ENDPOINT,
     RIGHT_ENDPOINT,
+    _BOUNDARY_RTOL,
     _snapped_ceil,
     sample_index,
 )
+
+from conftest import near_impulses
 
 
 def dyadic_scale_points(ts, rng, count, k_range=1000):
@@ -200,6 +204,24 @@ class TestImpulses:
         assert ts5.impulse_index_below(1.0 + 1e-6) == 0
         assert ts5.impulse_index_below(6.0 - 1e-6) == 0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_points_raise_at_once(self, ts5, bad):
+        # nan and the infinities are named before any arithmetic on them
+        # can warn or turn into an index
+        r, s = (bad, 0.0) if bad < 0 else (0.0, bad)
+        calls = [
+            lambda: ts5.impulse_index_below(bad),
+            lambda: ts5.impulse_index_below(np.array([1.0, bad])),
+            lambda: ts5.psi_inv(bad),
+            lambda: ts5.psi_inv(np.array([1.0, bad])),
+            lambda: ts5.count_impulses(r, s),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(ValueError, match="s must be finite"):
+                    call()
+
     def test_index_below_checks_the_index_it_returns(self):
         # s just past 2**52 strides has ceiling 2**52 + 1 but index 2**52,
         # the last one allowed; one stride further is past the cap
@@ -278,23 +300,35 @@ def scales_and_points(draw):
     return ts, points
 
 
+@st.composite
+def scales_near_impulses(draw):
+    """A random valid scale and points at its impulses and next to them."""
+    ts = draw(valid_scales())
+    return ts, near_impulses(ts, draw(indices))
+
+
 class TestPsiInverse:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @given(valid_scales(), indices)
-    # at stride 3, 1e-12 past the impulse at 0 is outside locate's snap but
-    # inside one of 2**-40 strides
-    @example(TimeScaleSpec(anchor=0.0, period=6.0, gap=3.0), [0])
-    def test_psi_inv_never_lands_in_a_hole(self, ts, ks):
-        # psi_inv snaps next to an impulse as locate does, at its right
-        # endpoint or past the left endpoint after the hole
-        impulses = ts.impulse_point(np.array(ks))
-        scale = np.maximum(1.0, np.abs(impulses))
-        near = np.concatenate([
-            impulses, np.nextafter(impulses, np.inf), np.nextafter(impulses, -np.inf),
-            *(impulses + sign * rel * scale for sign in (1.0, -1.0) for rel in (1e-12, 3e-12)),
-        ])
-        for s in near.tolist():
-            assert ts.locate(ts.psi_inv(s))[1] != GAP, s
+    @given(scales_near_impulses())
+    # 1.5e-12 relative past impulse 1 of the bundled scale, and 1e-12 past
+    # impulse 0 at stride 3, are outside the snap at right endpoint k but
+    # inside the one at left endpoint k + 1, across the hole
+    @example((TimeScaleSpec(anchor=1.0, period=8.0, gap=3.0), np.array([6.000000000009])))
+    @example((TimeScaleSpec(anchor=0.0, period=6.0, gap=3.0), np.array([1e-12])))
+    def test_psi_inv_and_impulse_index_below_share_one_snap(self, case):
+        # next to an impulse psi_inv lands where psi is defined, in the
+        # interval that impulse_index_below puts above s, and psi takes it
+        # back to s up to the snap, measured at the far edge of the hole
+        ts, s = case
+        t = ts.psi_inv(s)
+        k, code = ts.locate(t)
+        regular = (code == INTERIOR) | (code == RIGHT_ENDPOINT)
+        assert regular.all(), s[~regular]
+        same = k == ts.impulse_index_below(s) + 1
+        assert same.all(), s[~same]
+        far = np.abs(t) + ts.gap
+        back = np.abs(ts.psi(t) - s) <= _BOUNDARY_RTOL * np.maximum(1.0, far) + 4 * np.spacing(far)
+        assert back.all(), s[~back]
 
 
 class TestArrayForms:
@@ -321,6 +355,10 @@ class TestArrayForms:
                 scalar_psi.append(ts.psi(x))
                 assert type(scalar_psi[-1]) is float
         assert same_bits(collapsed, scalar_psi)
+        inverse = ts.psi_inv(t)
+        scalar_inverse = [ts.psi_inv(x) for x in t.tolist()]
+        assert all(type(x) is float for x in scalar_inverse)
+        assert same_bits(inverse, scalar_inverse)
         u = (t - ts.anchor) / ts.stride
         assert _snapped_ceil(u).tolist() == [_snapped_ceil(x) for x in u.tolist()]
 
