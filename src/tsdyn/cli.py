@@ -206,31 +206,41 @@ class ScenarioConfig:
 
         A null window is the interval span of the compact window extended
         below by ``evaluator.depth`` whole gaps, so it holds every sequence
-        term the evaluator reads on the compact grid.
+        term the evaluator reads on the compact grid.  A window too wide to
+        scan, or a sequence too short for it, is a :class:`ConfigError` that
+        names the settings.
         """
         window, zeta_max = self.windows["return_window"], self.windows["zeta_max"]
         max_returns, seq = self.windows["max_returns"], self.model.sequence
-        if window is not None:
-            return find_return_times(seq, window, zeta_max, max_returns)
-        compact = _required(self, "compact_lo", "compact_hi")
-        lo, hi = self.ts.interval_span(*compact)
-        window = (lo - self.evaluator.depth, hi)
+        if window is None:
+            shown = "null"
+            compact = _required(self, "compact_lo", "compact_hi")
+            lo, hi = self.ts.interval_span(*compact)
+            window = (lo - self.evaluator.depth, hi)
+            setting = (
+                "windows.return_window=null mines the interval span of windows.compact_lo="
+                f"{compact[0]} to windows.compact_hi={compact[1]}: {hi - lo + 1:.6g} intervals"
+            )
+        else:
+            shown = list(window)
+            setting = f"windows.return_window={shown} holds {window[1] - window[0] + 1:.6g} indices"
 
         def too_many(limit: str) -> ConfigError:
-            return ConfigError([
-                "windows.return_window=null mines the interval span of windows.compact_lo="
-                f"{compact[0]} to windows.compact_hi={compact[1]}: {hi - lo + 1:.6g} "
-                f"intervals, too many to {limit}"
-            ])
+            return ConfigError([f"{setting}, too many to {limit}"])
 
-        # the scan holds the float terms window[0] .. hi + 1 as one array, and
-        # its later terms a block of shifts at a time, whatever zeta_max
-        if 8 * (hi + 2 - window[0]) > np.iinfo(np.intp).max:
+        # the scan holds the window's float terms as one array, and its later
+        # terms a block of shifts at a time, whatever zeta_max
+        if 8 * (window[1] + 1 - window[0]) > np.iinfo(np.intp).max:
             raise too_many("index")
         try:
             return find_return_times(seq, window, zeta_max, max_returns)
         except MemoryError as err:
             raise too_many("hold") from err
+        except KeyError as err:
+            raise ConfigError([
+                f"windows.return_window={shown} and windows.zeta_max={zeta_max} read the "
+                f"sequence from index {window[0]} to {window[1] + zeta_max}, but {err.args[0]}"
+            ]) from err
 
 
 def _require_mapping(raw, name: str, issues: list[str]) -> dict:

@@ -6,14 +6,13 @@ The continuous forcing is restricted to trigonometric polynomials in
 piecewise-constant forcing takes the value ``sequence.term(k)`` on the k-th
 interval of the time scale.  Sequences come in two kinds, a logistic-map
 orbit pushed through a linear output map and an explicit integer-indexed
-table, and every reader uses only the members both have: ``dimension``,
-``min_index()``, ``term(k)``, ``terms(lo, hi)``, the ``ceiling`` on every
-term's norm, ``rank_one(lo, hi)``: ``(z, C)`` with
-``terms(lo, hi) == np.outer(z, C)``, or ``None`` for a kind without it, and
-``pieces(lo, hi, size)``, which reads the terms forward, ``size`` at a time,
-each piece ``(z, C)`` or ``(rows, None)``.  The return scan reads the
-distance of two rank-one terms in closed form, ``||C|| |z_a - z_b|``, and
-the row norm of their difference otherwise.
+table, and every reader uses only the six members both have:
+``dimension``, ``min_index()``, ``term(k)``, ``terms(lo, hi)``, the
+``ceiling`` on every term's norm and ``pieces(lo, hi, size)``, which reads
+the terms forward, ``size`` at a time, each piece ``(z, C)`` (rank-one terms
+``np.outer(z, C)``) or ``(rows, None)``.  The return scan reads the distance
+of two rank-one terms in closed form, ``||C|| |z_a - z_b|``, and the row norm
+of their difference otherwise.
 """
 
 from __future__ import annotations
@@ -245,10 +244,10 @@ class LogisticSequence:
     ``C = output_map``.  Orbit values are memoized in an append-only
     cache guarded by a lock, so concurrent readers observe the same values
     as a sequential run.  Only the random-access readers (``rank_one``,
-    ``terms`` and ``term``, which the evaluator and
-    :func:`recurrence_defect` call) grow the cache; ``pieces`` reads it as
-    far as it reaches and iterates the rest without storing it, so a return
-    scan grows it only to its window.
+    ``terms`` and ``term``, which the evaluator calls) grow the cache;
+    ``pieces`` reads it as far as it reaches and iterates the rest without
+    storing it, so the return scan and :func:`recurrence_defect`, which read
+    through ``pieces``, grow none.
 
     The default seed 0.4 sits away from the map's short periodic windows;
     the default seed index -2000 leaves the evaluation horizon of the
@@ -387,9 +386,6 @@ class TableSequence:
         """The largest term norm of the table."""
         return self._ceiling
 
-    def rank_one(self, k_lo: int, k_hi: int) -> None:  # a table has no rank-one form
-        return None
-
     def term(self, k: int) -> np.ndarray:
         return self.terms(k, k)[0]
 
@@ -463,13 +459,6 @@ class ReturnTimeSet:
         }
 
 
-def _piece(seq: PoissonSequence, k_lo: int, k_hi: int):
-    """The terms ``k_lo..k_hi`` as one piece of the form ``seq.pieces`` gives:
-    ``(z, C)`` from ``rank_one``, or ``(terms, None)`` for a kind without it."""
-    rank = seq.rank_one(k_lo, k_hi)
-    return (seq.terms(k_lo, k_hi), None) if rank is None else rank
-
-
 def _term_distance(output):
     """``dist(x, y) = ||term_x - term_y||`` elementwise, for values ``x`` and
     ``y`` of pieces paired with ``output``: ``||C|| |z_x - z_y|`` when the
@@ -483,15 +472,17 @@ def _term_distance(output):
 
 def recurrence_defect(seq: PoissonSequence, window: tuple[int, int], zeta: int) -> float:
     """``max_k ||term(k + zeta) - term(k)||`` over the index window, each
-    distance as :func:`find_return_times` computes it: for a sequence with a
-    rank-one form ``(z, C)`` it is ``||C|| * max_k |z[k + zeta] - z[k]|``."""
+    distance as :func:`find_return_times` computes it: for a sequence whose
+    pieces are ``(z, C)`` it is ``||C|| * max_k |z[k + zeta] - z[k]|``.  The
+    terms are read as one piece, and the window and its shift are two slices
+    of it."""
     lo, hi, zeta = int(window[0]), int(window[1]), int(zeta)
     if hi < lo:
         raise ValueError(f"window is empty: {window}")
-    first = min(lo, lo + zeta)
-    values, output = _piece(seq, first, max(hi, hi + zeta))
-    k = np.arange(lo - first, hi - first + 1)
-    return float(np.max(_term_distance(output)(values[k + zeta], values[k])))
+    first, last = min(lo, lo + zeta), max(hi, hi + zeta)
+    (values, output), = seq.pieces(first, last, last - first + 1)
+    a, b = lo - first, hi - first + 1  # the window is values[a:b]
+    return float(np.max(_term_distance(output)(values[a + zeta:b + zeta], values[a:b])))
 
 
 # Shifts per block of the return scan: the abandoning threshold tightens once
@@ -515,30 +506,30 @@ def find_return_times(
 
     The scan is exact and early-abandoning (Rakthanmanon et al., "Searching
     and mining trillions of time series subsequences under dynamic time
-    warping", KDD 2012).  It walks the shifts in increasing order in blocks.
-    Within a block it walks the window offsets in order, keeps each live
-    shift's running maximum of ``||term(k + zeta) - term(k)||`` and, after
-    each offset, abandons every shift whose running maximum is not strictly
-    below the best defect of all earlier blocks.  At offset 0 every shift of
+    warping", KDD 2012).  It walks the shifts in increasing order in blocks,
+    shift 1 being the first shift of block 1.  Within a block it walks the
+    window offsets in order, keeps each live shift's running maximum of
+    ``||term(k + zeta) - term(k)||`` and, after each offset, abandons every
+    shift whose running maximum is not strictly below the best defect of all
+    earlier blocks (``inf`` in block 1).  At offset 0 every shift of
     the block is live, so its distances are one slice of the block's terms
     against the window's first term, with no index array and no gather.  An
     abandoned shift has defect >= running maximum >= best, so it cannot
     strictly improve on the best and is never a record; it also cannot lower
     the running best.  The survivors' defects are the distances of
     :func:`recurrence_defect` and the maximum is exact, so the records, their
-    defects and the tie rule (a tie never records) are those of the full
-    scan.
+    defects and the tie rule are those of the full scan: a tie never
+    records, and neither does an ``inf`` defect.
 
-    One loop serves every sequence kind.  For a sequence whose ``rank_one``
-    gives ``(z, C)`` (a :class:`LogisticSequence`) the distance of two terms
-    is ``||C|| |z_a - z_b|`` in closed form, so the scan reads the orbit
-    alone and the ``(zeta_max, m)`` term table is never built; any other
-    sequence (a table) is scanned by the row norms of its terms.
+    One loop serves every sequence kind.  For a sequence whose pieces are
+    ``(z, C)`` (a :class:`LogisticSequence`) the distance of two terms is
+    ``||C|| |z_a - z_b|`` in closed form, so the scan reads the orbit alone
+    and the ``(zeta_max, m)`` term table is never built; any other sequence
+    (a table) is scanned by the row norms of its terms.
 
-    The indices ``lo .. hi + zeta_max`` are read forward once.  The window
-    and the term after it come from the random-access path, so a logistic
-    cache grows only to ``hi + 1``; the rest streams through
-    ``seq.pieces``, one piece per block of shifts.  A block holds its own
+    The indices ``lo .. hi + zeta_max`` are read forward once through
+    ``seq.pieces``: the window as one piece, then the rest one piece per
+    block of shifts, so no logistic cache grows.  A block holds its own
     terms and the ``width - 1`` that it shares with the block before, so
     the scan's memory is one block and the window, whatever ``zeta_max``.
     """
@@ -557,18 +548,15 @@ def find_return_times(
         )
 
     width = hi - lo + 1
-    values, output = _piece(seq, lo, hi + 1)
+    (window_terms, output), = seq.pieces(lo, hi, width)
     dist = _term_distance(output)
     # the block of shifts start .. start + n - 1 reads the terms lo + start ..
     # hi + start + n - 1: the width - 1 it shares with the block before, then
-    # the n of its piece; the first block shares lo + 2 .. hi + 1
-    stream = seq.pieces(hi + 2, hi + zeta_max, _SCAN_BLOCK)  # a short table raises here
-    shared = values[2:]
-    window_terms = values[:width]
-    # shift 1 records (unless its defect overflows), so it bounds every block
-    best = recurrence_defect(seq, (lo, hi), 1)
-    records = [ReturnEntry(zeta=1, defect=best)] if best < math.inf else []
-    for start, (piece, _) in zip(range(2, zeta_max + 1, _SCAN_BLOCK), stream):
+    # the n of its piece; the first block shares lo + 1 .. hi
+    stream = seq.pieces(hi + 1, hi + zeta_max, _SCAN_BLOCK)  # a short table raises here
+    shared = window_terms[1:]
+    best, records = math.inf, []
+    for start, (piece, _) in zip(range(1, zeta_max + 1, _SCAN_BLOCK), stream):
         terms = np.concatenate((shared, piece))  # terms[j] is the term lo + start + j
         shared = terms[len(piece):].copy()  # a copy, so this block's terms can go
         # offset 0: every shift of the block is live, so one slice reads it

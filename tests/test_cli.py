@@ -553,6 +553,39 @@ class TestMain:
         assert "too many to hold" in record["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("hi, limit", [(10 ** 12, "hold"), (10 ** 19, "index")])
+    def test_explicit_return_window_too_wide_fails(self, tmp_path, example_file, hi, limit):
+        # 10^12 indices can be indexed but not held: the scan's window fails
+        # to allocate under the cap; 10^19 are counted too many to index
+        # before any allocation; either record names the setting
+        out = tmp_path / "out"
+        code, err = _capped_main(["returns", "--config", str(example_file), "--out", str(out),
+                                  "--override", f"windows.return_window=[0, {hi}]"])
+        assert code == EXIT_USAGE
+        record = json.loads(err.strip())
+        assert record["error"] == "ConfigError"
+        assert f"windows.return_window=[0, {hi}]" in record["message"]
+        assert f"too many to {limit}" in record["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("return_window", [[0, 20], None], ids=["window", "null"])
+    def test_sequence_too_short_for_the_scan_fails(self, tmp_path, capsys, example_raw,
+                                                    return_window):
+        # the table ends at 399, short of the last term the scan reads; the
+        # record names the two settings that reach past it
+        example_raw["gamma"] = {"kind": "table",
+                                "values": {str(k): [0.01 * k, 1.0] for k in range(-40, 400)}}
+        example_raw["windows"]["return_window"] = return_window
+        path, out = tmp_path / "table.json", tmp_path / "out"
+        path.write_text(json.dumps(example_raw))
+        assert main(["returns", "--config", str(path), "--out", str(out)]) == EXIT_USAGE
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError"
+        shown = "null" if return_window is None else "[0, 20]"
+        assert f"windows.return_window={shown} and windows.zeta_max=100000" in record["message"]
+        assert "no entry at index 400" in record["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("override", ["windows.zeta_max=0", "windows.max_returns=0"])
     def test_mining_setting_below_one_fails_when_read(self, tmp_path, capsys, monkeypatch,
                                                       example_file, example_raw, override):

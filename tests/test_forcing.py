@@ -309,18 +309,37 @@ class TestReturnTimes:
             assert entry.defect == recurrence_defect(sequence5, (0, 20), entry.zeta)
 
     def test_records_match_a_scan(self):
-        # quantized terms make many shifts tie; only a strict improvement records
+        # quantized terms make many shifts tie (shift 2 ties shift 1); only a
+        # strict improvement records; shift 1 is the first shift of block 1,
+        # 2^14 shifts fill that block, and 2^14 + 1 starts the second
         rng = np.random.default_rng(3)
-        seq = TableSequence({k: [0.25 * v] for k, v in enumerate(rng.integers(0, 5, 400))})
-        returns = find_return_times(seq, (0, 10), 300, max_count=300)
-        records, best = [], math.inf
-        for zeta in range(1, 301):
+        seq = TableSequence({k: [0.25 * v] for k, v in enumerate(rng.integers(0, 5, 2 ** 14 + 13))})
+        records, best = [], math.inf  # the scan to zeta_max keeps those up to it
+        for zeta in range(1, 2 ** 14 + 3):
             d = recurrence_defect(seq, (0, 10), zeta)
             if d < best:
                 best = d
                 records.append((zeta, d))
-        assert len(records) >= 2
-        assert [(e.zeta, e.defect) for e in returns.entries] == records
+        assert len(records) >= 3
+        for zeta_max in (1, 2, 300, 2 ** 14, 2 ** 14 + 1, 2 ** 14 + 2):
+            returns = find_return_times(seq, (0, 10), zeta_max, max_count=zeta_max)
+            assert [(e.zeta, e.defect) for e in returns.entries] == \
+                [(zeta, d) for zeta, d in records if zeta <= zeta_max]
+
+    def test_records_do_not_depend_on_the_cache(self):
+        # a fresh orbit, one cached into the window and one cached past the
+        # last term the scan reads: the scan reads all three through pieces
+        def scan(cached):
+            seq = LogisticSequence(3.9, 0.4, k_min=-7, output_map=(1.0, -2.0, 0.5))
+            if cached is not None:
+                seq.rank_one(-7, cached)
+            return find_return_times(seq, (0, 20), 40_000, max_count=64)
+
+        fresh, into, past = (scan(cached) for cached in (None, 10, 20 + 40_000 + 5))
+        assert len(fresh.entries) >= 3
+        assert fresh == into == past
+        for returns in (into, past):
+            assert [d.hex() for d in returns.defects] == [d.hex() for d in fresh.defects]
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_defects_record_nothing(self):
@@ -374,8 +393,9 @@ class TestReturnTimes:
         finally:
             tracemalloc.stop()
         assert returns.entries
-        # what is still allocated is the sequence's cache (and the records):
-        # the window's 22 orbit values, not the 400_021 the scan read
+        # what is still allocated is the records and the sequence's cache,
+        # which the scan's pieces read and never grow: not the 400_021 orbit
+        # values the scan read
         assert held < 64 * 2 ** 10
 
     def test_window_validation(self, sequence5):

@@ -388,16 +388,13 @@ class TestModelValidation:
 
 
 class InterfaceOnly:
-    """A sequence kind with only the members every reader may use: no
-    ``sup_norm``, no private state of a library kind."""
+    """A sequence kind with only the six members every reader may use: no
+    ``sup_norm``, no ``rank_one``, no private state of a library kind."""
 
     def __init__(self, table: TableSequence) -> None:
         self.dimension, self.ceiling = table.dimension, table.ceiling
         self.min_index, self.term, self.terms = table.min_index, table.term, table.terms
         self.pieces = table.pieces
-
-    def rank_one(self, k_lo, k_hi):
-        return None
 
 
 def test_any_kind_with_the_interface_runs(ts5, forcing5):

@@ -513,7 +513,6 @@ def test_rank_one_gives_the_terms(m, r, k_min, offset, count, seed):
     assert np.outer(z, C).tobytes() == seq.terms(lo, hi).tobytes()
     for i in (0, count - 1):  # a term is the output map times its orbit value
         assert seq.term(lo + i).tobytes() == (C * z[i]).tobytes()
-    assert _quantized_table(m, 3, lo, hi, 0, seed).rank_one(lo, hi) is None
 
 
 def reference_value_many(forcing, t):
