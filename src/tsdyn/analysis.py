@@ -89,11 +89,11 @@ def verify_periodic(values: np.ndarray, period: float, tol: float) -> Verificati
 # Poisson recurrence
 
 
-def compact_grid(ts: TimeScaleSpec, lo: float, hi: float, grid_step: float) -> list[float]:
-    """Grid over ``[lo, hi]`` intersected with the scale, endpoints included: the
-    part ``[a, b]`` of each interval holds ``a + (b - a) * i / n`` for ``i < n``
-    and ``b``.  Counted first, so a grid too large to index raises at once; one
-    too large to hold raises the same way once an allocation fails."""
+def compact_grid(ts: TimeScaleSpec, lo: float, hi: float, grid_step: float) -> np.ndarray:
+    """Increasing float64 grid over ``[lo, hi]`` on the scale (a step below the
+    float spacing may repeat a point): the part ``[a, b]`` of each interval holds
+    ``a + (b - a) * i / n`` for ``i < n``, then ``b`` if ``b > a``.  Sized in bytes
+    first: too large to index raises at once, too large to hold once it fails."""
     if hi < lo:
         raise ValueError(f"empty compact window [{lo}, {hi}]")
     if grid_step <= 0.0:
@@ -106,20 +106,19 @@ def compact_grid(ts: TimeScaleSpec, lo: float, hi: float, grid_step: float) -> l
     k_lo, k_hi = ts.interval_span(lo, hi)
     count, what = 2 * (k_hi - k_lo + 1), "interval ends"
     try:
-        if count > np.iinfo(np.intp).max:
+        if 8 * count > np.iinfo(np.intp).max:
             raise too_many("index")
         ends = ts.endpoint(np.arange(2 * k_lo - 1, 2 * k_hi + 1))  # left, right of each k
         a, b = np.maximum(ends[0::2], lo), np.minimum(ends[1::2], hi)
         a, b = a[a <= b], b[a <= b]
         n = np.maximum(1, np.ceil((b - a) / grid_step))
-        count, what = np.sum(n + 1), "points"
-        if count > np.iinfo(np.intp).max:
+        size = n + (a < b)  # a one-point part gives its point once
+        count, what = np.sum(size), "points"
+        if 8 * count > np.iinfo(np.intp).max:
             raise too_many("index")
-        slot = np.arange(count)
-        r = np.repeat(np.arange(n.size), (n + 1).astype(np.int64))  # n points and b
-        i = slot - (np.cumsum(n + 1) - (n + 1))[r]
-        pts = np.where(i < n[r], a[r] + (b - a)[r] * i / n[r], b[r])
-        return sorted(set(pts.tolist()))
+        r = np.repeat(np.arange(n.size), size.astype(np.int64))
+        i = np.arange(count) - (np.cumsum(size) - size)[r]
+        return np.where(i < n[r], a[r] + (b - a)[r] * i / n[r], b[r])
     except MemoryError as err:
         raise too_many("hold") from err
 

@@ -186,7 +186,7 @@ class ScenarioConfig:
         a1 = impulsive.check_invertible_jump(self.model)
         a2 = impulsive.check_contractive_period(self.model)
         return a1.passed and a2.passed, {
-            "A1": {"passed": a1.passed, "det": a1.value},
+            "A1": {"passed": a1.passed, "det": a1.value, "rcond": self.model.jump_rcond},
             "A2": {"passed": a2.passed, "spectral_radius": a2.value},
         }
 
@@ -492,7 +492,7 @@ def _cmd_simulate(cfg: ScenarioConfig) -> tuple[bool, dict]:
     return True, {"trajectory.csv": sol}
 
 
-def _scenario_grid(cfg: ScenarioConfig) -> list[float]:
+def _scenario_grid(cfg: ScenarioConfig) -> np.ndarray:
     t0, t_end = _required(cfg, "t0", "t_end")
     return analysis.compact_grid(cfg.ts, t0, t_end, cfg.tolerances["grid_step"])
 

@@ -430,7 +430,9 @@ class ReturnTimeSet:
     """Record-improving return times for a sequence window.
 
     ``entries`` carry strictly increasing shifts with strictly decreasing
-    recurrence defects by construction of the mining scan.
+    recurrence defects by construction of the mining scan.  Each entry holds
+    its defect as the scan computed it, so checking mined records needs no
+    :func:`recurrence_defect` call.
     """
 
     window: tuple[int, int]
@@ -475,7 +477,8 @@ def recurrence_defect(seq: PoissonSequence, window: tuple[int, int], zeta: int) 
     distance as :func:`find_return_times` computes it: for a sequence whose
     pieces are ``(z, C)`` it is ``||C|| * max_k |z[k + zeta] - z[k]|``.  The
     terms are read as one piece, and the window and its shift are two slices
-    of it."""
+    of it.  The piece grows no cache, so each call that reads past a logistic
+    sequence's cached orbit iterates it again from the cache's last value."""
     lo, hi, zeta = int(window[0]), int(window[1]), int(zeta)
     if hi < lo:
         raise ValueError(f"window is empty: {window}")

@@ -38,7 +38,11 @@ from .errors import AssumptionError, ConvergenceError, HorizonError, MissingSamp
 from .forcing import PoissonSequence, TrigForcing
 from .timescale import TimeScaleSpec, _checked_index, _edge_tol, _snapped_ceil, sample_index
 
-_DET_FLOOR = 1e-10
+# A1's floor on sigma_min / sigma_max of I + gap*A, its relative distance to
+# the nearest singular matrix, which unlike the determinant does not scale with
+# m or with A: forming I + gap*A perturbs it by about 1e-16 of its norm, and
+# the floor keeps invertibility four decades clear of that round-off.
+_RCOND_FLOOR = 1e-12
 _RADIUS_MARGIN = 1e-10
 _DECAY_SAFETY = 0.9
 # Nodes of the certificate's grid over gaps q in [0, stride].
@@ -92,6 +96,13 @@ class ImpulsiveModel:
         return _read_only(np.eye(self.dimension) + self.ts.gap * self.matrix)
 
     @cached_property
+    def jump_rcond(self) -> float:
+        """Reciprocal condition number ``sigma_min / sigma_max`` of
+        :attr:`jump_factor`, computed once per model; 0 for a zero factor."""
+        sigma = np.linalg.svd(self.jump_factor, compute_uv=False)
+        return float(sigma[-1] / sigma[0]) if sigma[0] > 0.0 else 0.0
+
+    @cached_property
     def period_map(self) -> np.ndarray:
         """One-period map ``expm(stride * A) @ (I + gap * A)`` (read-only)."""
         return _read_only(matrixkit.expm(self.ts.stride * self.matrix) @ self.jump_factor)
@@ -128,9 +139,11 @@ class AssumptionCheck(NamedTuple):
 
 
 def check_invertible_jump(model: ImpulsiveModel) -> AssumptionCheck:
-    """First assumption: the jump factor ``I + gap*A`` is invertible."""
+    """First assumption: the jump factor ``I + gap*A`` is invertible, read as
+    :attr:`ImpulsiveModel.jump_rcond` above ``_RCOND_FLOOR``; the value is
+    ``det(I + gap*A)``."""
     value = float(np.linalg.det(model.jump_factor))
-    return AssumptionCheck(passed=bool(abs(value) > _DET_FLOOR), value=value)
+    return AssumptionCheck(passed=bool(model.jump_rcond > _RCOND_FLOOR), value=value)
 
 
 def check_contractive_period(model: ImpulsiveModel) -> AssumptionCheck:
@@ -183,7 +196,8 @@ def certify(model: ImpulsiveModel) -> StabilityCert:
     """
     a1 = check_invertible_jump(model)
     if not a1.passed:
-        raise AssumptionError(f"jump factor is singular (det = {a1.value:.3e})")
+        raise AssumptionError(f"jump factor is singular "
+                              f"(det = {a1.value:.3e}, rcond = {model.jump_rcond:.3e})")
     a2 = check_contractive_period(model)
     if not a2.passed:
         raise AssumptionError(

@@ -63,6 +63,12 @@ class TestCompactGrid:
         with pytest.raises(ValueError):
             compact_grid(ts5, 1.0, 3.0, 0.0)
 
+    def test_too_many_bytes_to_index(self, ts5):
+        # 2.5e18 points fit an index but not their 2e19 bytes: the guard counts
+        # bytes, so it raises before any allocation and names the step
+        with pytest.raises(ValueError, match="grid_step=1e-17.*too many to index"):
+            compact_grid(ts5, 0.0, 40.0, 1e-17)
+
 
 class TestVerifyPeriodic:
     def test_constant_passes(self, ts5):
@@ -116,6 +122,9 @@ class TestVerifyPoisson:
         returns = find_return_times(table, (0, 20), 180, max_count=3)
         parts = as_timescale_function(BoundedSolutionEvaluator(model, cert, 1e-6))
         values = parts(return_grids(ts5, returns, 1.0, 17.0, 0.5))
+        # rejected only against this eps: the default rule 5*final_defect+1e-6
+        # (3.831) passes the table, whose mined shifts [3, 6, 80] give
+        # D = 2.225, 1.879, 1.848, none growing by more than the slack
         report = verify_poisson(values[..., 1, :], returns, 1.0, 17.0, 0.5, eps=1e-3)
         assert not report.passed
 

@@ -196,6 +196,7 @@ class TestSubcommands:
         payload = json.loads((tmp_path / "check.json").read_text())
         assert payload["A1"]["passed"] and payload["A2"]["passed"]
         assert payload["A1"]["det"] == pytest.approx(0.4, abs=1e-12)
+        assert payload["A1"]["rcond"] == pytest.approx(1.0, rel=1e-14)  # Q is a scaled rotation
         assert payload["certificate"]["prefactor"] >= 1.0
 
     def test_check_zero_matrix_fails(self, tmp_path, example_raw):
@@ -383,7 +384,7 @@ class TestSubcommands:
         # the sequence indices the evaluator reads over the compact grid: at
         # psi(t) = t - k*gap, which at a left endpoint is the impulse before it
         ts = cfg.ts
-        grid = np.asarray(compact_grid(ts, 1.0, 17.0, cfg.tolerances["grid_step"]))
+        grid = compact_grid(ts, 1.0, 17.0, cfg.tolerances["grid_step"])
         s = grid - ts.gap * ts.locate(grid)[0]
         deepest = int(ts.impulse_index_below(s - cfg.evaluator.horizon).min()) + 1
         highest = int(ts.impulse_index_below(s).max()) + 1
@@ -406,9 +407,9 @@ class TestSubcommands:
         verify = json.loads((tmp_path / "verify.json").read_text())
         # the reference evaluates the compact grid and each shifted copy on its own
         ts, windows = cfg.ts, cfg.windows
-        grid = np.asarray(compact_grid(
+        grid = compact_grid(
             ts, windows["compact_lo"], windows["compact_hi"], cfg.tolerances["grid_step"]
-        ))
+        )
         parts = as_timescale_function(cfg.evaluator)
         base = parts(grid)
         zetas = verify["poisson"]["parameters"]["zetas"]
@@ -505,6 +506,7 @@ class TestMain:
          ("windows.return_window=[5,2]", "ValueError"),
          # grids too large to index: counted before any point, the record names the step
          ("tolerances.grid_step=1e-300", "ValueError"), ("windows.t_end=1e300", "ValueError"),
+         ("tolerances.grid_step=1e-17", "ValueError"),  # indexable, but not its bytes
          # a grid that can be indexed but not held (2.5e10 points): its allocation fails
          ("tolerances.grid_step=1e-9", "ValueError")],
     )

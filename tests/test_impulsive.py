@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -48,8 +49,29 @@ class TestAssumptions:
 
     def test_singular_jump(self, ts5):
         model = quiet_model(ts5, -np.eye(2) / ts5.gap, 2)
-        a1 = check_invertible_jump(model)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a zero factor reads 0, not 0/0
+            a1 = check_invertible_jump(model)
         assert not a1.passed and a1.value == pytest.approx(0.0, abs=1e-14)
+        assert model.jump_rcond == 0.0
+        with pytest.raises(AssumptionError, match=r"det = 0\.000e\+00, rcond = 0\.000e\+00"):
+            certify(model)
+
+    @pytest.mark.parametrize("m", [2, 25, 26, 64])
+    def test_well_conditioned_factor_passes_at_any_dimension(self, ts5, m):
+        # Q = 0.4 I has condition number 1, though det 0.4^m is 4.5e-11 at m = 26
+        model = quiet_model(ts5, -0.2 * np.eye(m), m)
+        a1 = check_invertible_jump(model)
+        assert a1.passed and a1.value == pytest.approx(0.4 ** m, rel=1e-12)
+        assert model.jump_rcond == pytest.approx(1.0, rel=1e-14)
+
+    def test_near_singular_factor_fails(self, ts5):
+        # det(Q) = -3.0e-10 is not small for a 2x2, but Q = diag(1e-14, -29999)
+        # is 3.3e-19 of its norm away from a singular matrix
+        model = quiet_model(ts5, [[-0.33333333333333, 0.0], [0.0, -10000.0]], 2)
+        a1 = check_invertible_jump(model)
+        assert not a1.passed and a1.value == pytest.approx(-3.0e-10, rel=1e-2)
+        assert 1e-19 < model.jump_rcond < 1e-18
 
     def test_zero_matrix(self, ts5):
         model = quiet_model(ts5, np.zeros((2, 2)), 2)

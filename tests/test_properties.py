@@ -604,8 +604,8 @@ def grid_windows(draw):
 @settings(PROPERTY_SETTINGS, max_examples=200)
 @given(case=grid_windows())
 def test_compact_grid_matches_point_loop(case):
-    # the same floats in the same order, signed zeros included
+    # the same floats in the same order, signed zeros included, each once
     ts, lo, hi, step = case
     got, want = compact_grid(ts, lo, hi, step), reference_compact_grid(ts, lo, hi, step)
-    assert all(type(x) is float for x in got)
-    assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
+    assert got.dtype == np.float64 and np.all(np.diff(got) > 0)
+    assert np.array_equal(got.view(np.int64), np.array(want, dtype=float).view(np.int64))
