@@ -44,8 +44,7 @@ evaluator = BoundedSolutionEvaluator(model, cert, tol=1e-8)
 rng = np.random.default_rng(11)
 reports = verify_all(
     evaluator, returns, compact_lo=1.0, compact_hi=17.0, grid_step=0.05,
-    period_tol=1e-6, poisson_eps=None, y0=rng.uniform(-1, 1, 2) - rng.uniform(-1, 1, 2),
-    stability_periods=10, step=1e-3,
+    y0=rng.uniform(-1, 1, 2) - rng.uniform(-1, 1, 2), stability_periods=10, step=1e-3,
 )
 
 periodic = reports["periodicity"]

@@ -328,8 +328,6 @@ def verify_all(
     compact_lo: float,
     compact_hi: float,
     grid_step: float,
-    period_tol: float,
-    poisson_eps: float | None,
     y0,
     stability_periods: float,
     step: float,
@@ -339,20 +337,23 @@ def verify_all(
 
     One ``parts`` batch holds the compact grid (row 0), its copy one period
     on (row 1) and its return-shifted copies (rows 2 on).  Periodicity reads
-    rows 0 and 1; both recurrence reports read the rest with row 0, the
-    sequence part against ``poisson_eps`` and the full solution against that
-    threshold plus ``2 * tol``; the bound report reads the lift of row 0, so
-    the compact grid is evaluated once.  The separation ``y0`` is marched
-    from the anchor over ``stability_periods`` periods at RK4 step ``step``.
+    rows 0 and 1 against ``2 * tol``: the periodic part has no truncation, so
+    within ``tol`` of the exact part at each point two values one period
+    apart differ by at most ``2 * tol``.  Both recurrence reports read the
+    rest with row 0, the sequence part against the default rule of
+    :func:`verify_poisson` and the full solution against that threshold plus
+    ``2 * tol``; the bound report reads the lift of row 0, so the compact
+    grid is evaluated once.  The separation ``y0`` is marched from the anchor
+    over ``stability_periods`` periods at RK4 step ``step``.
     """
     model, cert, tol = evaluator.model, evaluator.cert, evaluator.tol
     ts = model.ts
     grid = compact_grid(ts, compact_lo, compact_hi, grid_step)
     theta, values = lift_and_parts(evaluator, grid, ts.period * np.array([1, *returns.zetas]))
-    periodic = verify_periodic(values[:2, :, 0], ts.period, period_tol)
+    periodic = verify_periodic(values[:2, :, 0], ts.period, 2.0 * tol)
     values = np.delete(values, 1, axis=0)
     window = (compact_lo, compact_hi, grid_step)
-    poisson = verify_poisson(values[..., 1, :], returns, *window, eps=poisson_eps)
+    poisson = verify_poisson(values[..., 1, :], returns, *window)
     poisson_full = verify_poisson(
         values.sum(axis=-2), returns, *window, eps=poisson.parameters["eps"] + 2.0 * tol
     )

@@ -37,8 +37,7 @@ Configuration is a single JSON document::
       ],
       "gamma": {"kind": "logistic", "r": 3.9, "z0": 0.4, "k_min": -2000,
                 "C": [1.0, 2.0]},
-      "tolerances": {"eval_tol": 1e-8, "period_tol": 1e-6,
-                     "poisson_eps": null, "grid_step": 0.05, "rk_step": 1e-3},
+      "tolerances": {"eval_tol": 1e-8, "grid_step": 0.05, "rk_step": 1e-3},
       "windows": {"t0": 0.0, "t_end": 40.0, "compact_lo": 1.0,
                   "compact_hi": 17.0, "return_window": [0, 20],
                   "zeta_max": 100000, "max_returns": 3,
@@ -48,9 +47,10 @@ Configuration is a single JSON document::
 
 ``gamma`` alternatively takes ``{"kind": "table", "values": {"0": [...]}}``
 over one contiguous range of indices.  Unknown fields anywhere are rejected.
-``poisson_eps: null`` selects the empirical rule ``5 * final_defect + 1e-6``;
-``return_window: null`` mines the compact window's interval span extended
-below by the evaluator's ``depth``.
+``verify`` checks periodicity within ``2 * eval_tol`` and recurrence by the
+empirical rule ``5 * final_defect + 1e-6``.  ``return_window: null`` mines
+the compact window's interval span extended below by the evaluator's
+``depth``.
 
 CSV files carry columns ``t, y_1..y_m, branch`` with 17 significant digits;
 ``branch`` is ``interior`` for regular samples and ``right_endpoint_value``
@@ -132,8 +132,6 @@ def _vector(convert, length=None):
 # default is None may be left out or null.
 _TOLERANCES = {
     "eval_tol": (_real, 1e-8),
-    "period_tol": (_real, 1e-6),
-    "poisson_eps": (_real, None),
     "grid_step": (_real, 0.05),
     "rk_step": (_real, 1e-3),
 }
@@ -519,8 +517,8 @@ def _cmd_verify(cfg: ScenarioConfig) -> tuple[bool, dict]:
     y0a, y0b = rng.uniform(-1.0, 1.0, (2, cfg.model.dimension))  # two starts, one per row
     tols = cfg.tolerances
     reports = analysis.verify_all(
-        cfg.evaluator, cfg.returns, lo, hi, tols["grid_step"], tols["period_tol"],
-        tols["poisson_eps"], y0a - y0b, cfg.windows["stability_periods"], tols["rk_step"],
+        cfg.evaluator, cfg.returns, lo, hi, tols["grid_step"], y0a - y0b,
+        cfg.windows["stability_periods"], tols["rk_step"],
     )
     return reports["mpps"].passed, {
         "verify.json": {name: report.to_dict() for name, report in reports.items()},

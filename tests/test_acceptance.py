@@ -220,8 +220,8 @@ def test_criterion_7_degenerate_scenarios(model5_no_sequence, model5_no_forcing,
     returns = find_return_times(model5_no_sequence.sequence, (0, 20), 1000, max_count=3)
     rng = np.random.default_rng(7)
     reports = verify_all(
-        ev, returns, 1.0, 17.0, 0.25, period_tol=1e-6, poisson_eps=None,
-        y0=rng.uniform(-1, 1, 2) - rng.uniform(-1, 1, 2), stability_periods=5, step=1e-2,
+        ev, returns, 1.0, 17.0, 0.25, y0=rng.uniform(-1, 1, 2) - rng.uniform(-1, 1, 2),
+        stability_periods=5, step=1e-2,
     )
     _gate("criterion 7: degenerate recurrence suprema are identically zero",
           reports["poisson"].metrics["final_sup_difference"] == 0.0)

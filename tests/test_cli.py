@@ -99,6 +99,15 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="unknown fields"):
             parse_config(example_raw)
 
+    @pytest.mark.parametrize("field_name, value", [("period_tol", 1e-6), ("poisson_eps", None)])
+    def test_removed_verify_knobs_rejected(self, example_raw, field_name, value):
+        # verify reads periodicity against 2 * eval_tol and recurrence by its
+        # one rule, so an old config that still sets either knob is told so
+        example_raw["tolerances"][field_name] = value
+        named = rf"tolerances has unknown fields: \['{field_name}'\]"
+        with pytest.raises(ConfigError, match=named):
+            parse_config(example_raw)
+
     def test_table_sequence(self, example_raw):
         example_raw["gamma"] = {
             "kind": "table",
@@ -328,8 +337,8 @@ class TestSubcommands:
         y0a, y0b = rng.uniform(-1.0, 1.0, 2), rng.uniform(-1.0, 1.0, 2)
         reports = verify_all(
             cfg.evaluator, cfg.returns, windows["compact_lo"], windows["compact_hi"],
-            tolerances["grid_step"], tolerances["period_tol"], tolerances["poisson_eps"],
-            y0a - y0b, windows["stability_periods"], tolerances["rk_step"],
+            tolerances["grid_step"], y0a - y0b, windows["stability_periods"],
+            tolerances["rk_step"],
         )
         expected = json.loads(json.dumps({name: r.to_dict() for name, r in reports.items()}))
         assert json.loads((tmp_path / "verify.json").read_text()) == expected

@@ -24,6 +24,7 @@ from tsdyn import (
     recurrence_defect,
     solution_bound,
 )
+from tsdyn import matrixkit
 from tsdyn.matrixkit import expm, spectral_norm
 
 from conftest import ROTATION_A, zero_table
@@ -300,8 +301,9 @@ class TestBoundedSolution:
 
     def test_concurrent_evaluation_matches_serial(self, model5, cert5):
         # more threads than cores and a short switch interval interleave the
-        # threads inside one shared instance; grids a whole period apart share
-        # partial lengths, so the threads compute the same segments at once
+        # threads inside one shared instance; grids a whole period apart have
+        # the same partial lengths, so the threads read the same nodes of the
+        # one table at once
         grids = [np.linspace(-20.0, 20.0, 97) + 8.0 * i for i in range(4)]
         expected = [BoundedSolutionEvaluator(model5, cert5, 1e-8).parts(g) for g in grids]
         shared = BoundedSolutionEvaluator(model5, cert5, 1e-8)
@@ -315,6 +317,17 @@ class TestBoundedSolution:
             sys.setswitchinterval(interval)
         for got, want in zip(results, expected * 4):
             assert np.array_equal(got, want)
+
+    def test_one_exponential_per_evaluator(self, model5, cert5, monkeypatch):
+        # the node table comes from one expm when the evaluator is built;
+        # parts takes none, and every array on the instance is read-only
+        shapes = []
+        monkeypatch.setattr(matrixkit, "expm", lambda M: shapes.append(np.shape(M)) or expm(M))
+        ev = BoundedSolutionEvaluator(model5, cert5, 1e-8)
+        ev.parts(np.linspace(-20.0, 20.0, 97))
+        assert shapes == [(9, 9)]  # the generator of m = 2 and five forcing states
+        for a in (ev._table, ev._generator, ev._head_weights, ev._gap_stack):
+            assert not a.flags.writeable
 
     def test_horizon_error_for_shallow_seed(self, ts5, forcing5):
         shallow = LogisticSequence(3.9, 0.4, k_min=-4, output_map=(1.0, 2.0))

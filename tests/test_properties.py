@@ -2,8 +2,10 @@
 transition matrices, also of far-from-normal systems, over thirty periods and
 its stacked grid gives the bits of a per-node loop,
 and for the closed-form bounded-solution evaluator, batched and single-point
-evaluation agree, the value matches forward integration from deep in the
-past, the periodic component is stride-periodic, the two components sum to
+evaluation agree, the value matches forward integration from two horizons
+back at tolerances 1e-6, 1e-8 and 1e-11, its node table matches one Pade
+exponential per point and keeps its size under a louder forcing, the
+periodic component is stride-periodic, the two components sum to
 the full solution, left endpoints evaluated inside a lifted batch or by the
 function on the scale are the jumps of single-point values, and an instance
 that has served earlier calls gives the bits of a fresh one; no point walks
@@ -245,12 +247,104 @@ def test_stacked_certificate_grid_matches_per_node_loop(model):
     assert certify(model) == certify_per_node(model)
 
 
-@settings(PROPERTY_SETTINGS, max_examples=10)
-@given(model=stable_models(), s=st.floats(-10.0, 10.0))
-def test_agrees_with_deep_past_integration(model, s):
+def pade_parts(ev, s):
+    """Parts at each point of ``s`` from one Pade ``expm`` of the augmented
+    generator per partial length, with the head and the gap stack read from
+    its whole-stride rows: the arithmetic that the evaluator's node table
+    replaced, one point at a time."""
+    model, ts, m = ev.model, ev.model.ts, ev.model.dimension
+    C, W, z0 = model.forcing.realization(ts.anchor + ts.gap)
+    d = W.shape[0]
+    generator = np.zeros((2 * m + d, 2 * m + d))
+    generator[:m, :m] = model.matrix
+    generator[:m, m:m + d] = C
+    generator[:m, m + d:] = np.eye(m)
+    generator[m:m + d, m:m + d] = W
+    whole = matrixkit.expm(ts.stride * generator)[:m]
+    E, F, K = whole[:, :m], whole[:, m:m + d], whole[:, m + d:]
+    Q = model.jump_factor
+    B = E @ Q
+    head = np.linalg.solve(np.eye(m) - B, ts.gap * model.forcing_at_impulse + Q @ (F @ z0))
+    out = []
+    for x in np.asarray(s, dtype=float).tolist():
+        k = int(ts.impulse_index_below(x))
+        depth = k - int(ts.impulse_index_below(x - ev.horizon))
+        terms = model.sequence.terms(k - depth + 1, k + 1)
+        kernel = ts.gap * np.eye(m) + Q @ K
+        walk = sum(np.linalg.matrix_power(B, j) @ kernel @ terms[depth - 1 - j]
+                   for j in range(depth))
+        rows = matrixkit.expm((x - ts.impulse_point(k)) * generator)[:m]
+        out.append([rows @ np.concatenate([head, z0, np.zeros(m)]),
+                    rows @ np.concatenate([walk, np.zeros(d), terms[-1]])])
+    return np.array(out)
+
+
+def node_count(model):
+    """The table's node count: ``ceil(stride * max(1, ||A||_1, ||W||_1))``."""
+    W = model.forcing.realization(0.0)[1]
+    scale = max(1.0, np.linalg.norm(model.matrix, 1), np.linalg.norm(W, 1))
+    return math.ceil(model.ts.stride * scale)
+
+
+def scaled_forcing(forcing, c):
+    """``forcing`` with every coefficient multiplied by ``c``."""
+    return TrigForcing(forcing.period, tuple(
+        ForcingComponent(c * comp.constant, tuple(
+            Harmonic(h.n, c * h.cos_coeff, c * h.sin_coeff) for h in comp.harmonics))
+        for comp in forcing.components
+    ))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=15)
+@given(model=stable_models(), s=points, k=st.integers(-3, 3))
+def test_node_table_matches_pade_per_point(model, s, k):
+    # the table's points, at nodes, at node midpoints and at both ends of a
+    # segment, agree with one Pade exponential per point
     ev = BoundedSolutionEvaluator(model, certify(model), TOL)
-    traj = integrate(model, np.zeros(model.dimension), s - ev.horizon, s, 2.5e-3)
-    assert np.linalg.norm(ev.value(s) - traj.value(s)) <= TOL
+    ts, n = model.ts, node_count(model)
+    assert len(ev._table) == n + 1
+    h = ts.stride / n
+    start = ts.impulse_point(k)
+    x = np.concatenate([s, start + h * np.arange(n + 1), start + h * (np.arange(n) + 0.5),
+                        [np.nextafter(start, np.inf), start + ts.stride]])
+    want = pade_parts(ev, x)
+    for got, ref in ((ev.parts(x), want), (ev.value(x), want.sum(axis=1))):
+        err = np.abs(got - ref).reshape(len(x), -1).max(axis=1)
+        assert np.all(err <= 1e-13 * (1.0 + np.abs(ref).reshape(len(x), -1).max(axis=1)))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=10)
+@given(model=stable_models(), s=points)
+def test_node_count_ignores_forcing_amplitude(model, s):
+    # the node count reads A and W, not C: a forcing a million times larger
+    # keeps the table, and the periodic part is linear in the forcing
+    loud = ImpulsiveModel(model.matrix, model.ts, scaled_forcing(model.forcing, 1e6),
+                          model.sequence)
+    cert = certify(model)
+    quiet_ev, loud_ev = (BoundedSolutionEvaluator(x, cert, TOL) for x in (model, loud))
+    assert len(loud_ev._table) == len(quiet_ev._table) == node_count(model) + 1
+    want = 1e6 * quiet_ev.parts(s)[:, 0]
+    got = loud_ev.parts(s)[:, 0]
+    assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=10)
+@given(model=stable_models(), s=st.floats(-10.0, 10.0), tol=st.sampled_from([1e-6, 1e-8, 1e-11]))
+def test_agrees_with_deep_past_integration(model, s, tol):
+    # the oracle starts from zero at the impulse two horizons back, where its
+    # start has decayed to N tol^2 / (4 sup_bound).  RK4 at steps h and h/2,
+    # with (h ||A||)^5 = tol / 100, is Richardson-extrapolated: the finer march
+    # alone is within tol / 10 by its own estimate, and the extrapolation
+    # leaves the rounding of the march, 1e-13 to 5e-13 on these models
+    ev = BoundedSolutionEvaluator(model, certify(model), tol)
+    ts = model.ts
+    start = ts.impulse_point(ts.impulse_index_below(s - 2.0 * ev.horizon))
+    h = (tol / 100.0) ** 0.2 / max(1.0, np.linalg.norm(model.matrix, 2))
+    coarse, fine = (integrate(model, np.zeros(model.dimension), start, s, step).value(s)
+                    for step in (h, h / 2.0))
+    assert np.linalg.norm(fine - coarse) / 15.0 <= tol / 10.0
+    oracle = (16.0 * fine - coarse) / 15.0
+    assert np.linalg.norm(ev.value(s) - oracle) <= tol
 
 
 @st.composite
