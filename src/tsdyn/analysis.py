@@ -225,7 +225,10 @@ def verify_stability(
     The check fits the slope of the log separation against the collapsed
     time, :meth:`TimeScaleSpec.psi` of the whole sample array, and checks
     both the fitted slope against the certified decay rate and pointwise
-    domination by the certificate envelope.
+    domination by the certificate envelope.  The slope is the closed-form
+    least-squares one, ``sum(x y) / sum(x x)`` over the centered times ``x``
+    and log separations ``y``, which a degree-one ``np.polyfit`` gives up to
+    round-off.
     """
     ts = model.ts
     if horizon < 5.0 * ts.period:
@@ -265,8 +268,9 @@ def verify_stability(
     if initial <= _SEPARATION_FLOOR or int(np.count_nonzero(mask)) < 2:
         passed = envelope_ok  # coincident starts stay coincident
     else:
-        coeffs = np.polyfit(collapsed[mask], np.log(separation[mask]), 1)
-        slope = float(coeffs[0])
+        x = collapsed[mask] - collapsed[mask].mean()
+        y = np.log(separation[mask])
+        slope = float(x @ (y - y.mean()) / (x @ x))
         metrics["fitted_slope"] = slope
         passed = envelope_ok and slope <= -cert.decay_rate
     return VerificationReport(

@@ -10,8 +10,10 @@ forcing; at each impulse moment the state jumps by
 
 Forward integration is one RK4-plus-jump march (``_march``), run on the
 line by ``integrate`` and read back on the time scale by
-``dynamic.simulate_dynamic``; ``_rk4_scan`` solves each impulse-free
-segment as a blocked linear scan (Blelloch 1990).
+``dynamic.simulate_dynamic``.  RK4 with constant ``A`` is affine in the
+start state and the segment's constant sequence term, so ``_rk4_kernel``
+tabulates it once per segment geometry; every whole stride reads one
+kernel, since ``f`` has the scale's period.
 
 Because every factor appearing in the transition matrix is a function of the
 single matrix ``A``, matrix exponentials and jump factors commute.  The
@@ -295,22 +297,25 @@ class Trajectory:
         return self.x[i]
 
 
-def _rk4_scan(A, u, h, y):
-    """Classical RK4 for ``y' = A y + u`` over ``n`` steps of size ``h``,
-    with the forcing ``u`` tabulated at the half-step mesh (``2n+1`` nodes).
-    Returns the ``(n, m)`` post-step states.
+def _rk4_kernel(A, u, h):
+    """Classical RK4 for ``y' = A y + u + term`` over ``n`` steps of size
+    ``h``, with ``u`` tabulated at the half-step mesh (``2n+1`` nodes) and
+    ``term`` constant.  Returns ``(powers, response, gains)``, each indexed
+    by step ``i = 1..n``, for the post-step states
+    ``y_i = R^i y_0 + Zf_i + G_i term``.
 
     With constant ``A`` one RK4 step is the affine map ``y <- R y + c_i``,
     where, for ``H = h A``, ``R = I + H + H^2/2 + H^3/6 + H^4/24`` and
-    ``c_i = P0 u_2i + Pm u_2i+1 + P1 u_2i+2`` with
+    ``c_i = P0 u_2i + Pm u_2i+1 + P1 u_2i+2 + (P0 + Pm + P1) term`` with
     ``P0 = h/6 (I + H + H^2/2 + H^3/4)``, ``Pm = h/6 (4I + 2H + H^2/2)`` and
-    ``P1 = h/6 I``.  The recurrence is solved as a blocked linear scan
-    (Blelloch, "Prefix sums and their applications", 1990): the steps are
-    cut into blocks of ``b = isqrt(n)``; one loop of ``b`` steps advances
-    every block's zero-start response at once and tabulates ``R^1..R^b``,
-    one loop over the blocks carries the block starts with ``R^b``, and the
-    starts are added back through the powers.  The method is unchanged, so
-    results differ from a per-step loop only at round-off.
+    ``P1 = h/6 I``.  ``powers`` holds ``R^1..R^n``, built by doubling;
+    ``response`` the zero-start response ``Zf`` to ``u``, from the doubling
+    scan ``c[d:] += c[:-d] @ (R^d)^T`` (Hillis & Steele, CACM 29(12), 1986);
+    and ``gains`` ``G_i = (I + R + .. + R^(i-1)) (P0 + Pm + P1)``, a
+    cumulative sum of the powers times ``P0 + Pm + P1``.  The method is unchanged, so results differ
+    from a per-step loop only at round-off.  A segment of the same geometry
+    and forcing table then costs two ``(n*m, m)`` matrix-vector products,
+    whatever its start state and term.
     """
     m = A.shape[0]
     n = (len(u) - 1) // 2
@@ -321,67 +326,84 @@ def _rk4_scan(A, u, h, y):
     R = eye + H + H2 / 2.0 + H3 / 6.0 + (H2 @ H2) / 24.0
     P0 = (h / 6.0) * (eye + H + H2 / 2.0 + H3 / 4.0)
     Pm = (h / 6.0) * (4.0 * eye + 2.0 * H + H2 / 2.0)
-    b = math.isqrt(n)
-    blocks = -(-n // b)
-    c = np.zeros((blocks * b, m))  # trailing padding steps are discarded
-    c[:n] = u[0:-1:2] @ P0.T + u[1::2] @ Pm.T + (h / 6.0) * u[2::2]
-    z = c.reshape(blocks, b, m)  # zero-start responses, built in place
-    powers = np.empty((b, m, m))  # powers[l] = R^(l+1)
+    powers = np.empty((n, m, m))  # powers[i - 1] = R^i
     powers[0] = R
-    for l in range(1, b):
-        z[:, l] += z[:, l - 1] @ R.T
-        powers[l] = R @ powers[l - 1]
-    starts = np.empty((blocks, m))
-    starts[0] = y
-    for j in range(1, blocks):
-        starts[j] = powers[-1] @ starts[j - 1] + z[j - 1, -1]
-    z += np.einsum("lab,jb->jla", powers, starts)
-    return c[:n]
-
-
-def _collapsed_forcing_nodes(model: ImpulsiveModel, a: float, b: float, n: int, k: int):
-    """Forcing ``f(psi_inv(s)) + term_k`` tabulated at the half-step mesh of
-    an impulse-free segment ``[a, b]`` inside gap index ``k``."""
-    nodes = a + (b - a) * np.arange(2 * n + 1) / (2.0 * n)
-    fvals = model.forcing.value_many(nodes + k * model.ts.gap)
-    return fvals + model.sequence.term(k)
+    d = 1
+    while d < n:
+        powers[d:2 * d] = powers[:min(d, n - d)] @ powers[d - 1]
+        d *= 2
+    response = u[0:-1:2] @ P0.T + u[1::2] @ Pm.T + (h / 6.0) * u[2::2]
+    d = 1
+    while d < n:
+        response[d:] += response[:-d] @ powers[d - 1].T
+        d *= 2
+    gains = np.empty((n, m, m))  # gains[i - 1] = G_i, summed in place
+    gains[0] = P0 + Pm + (h / 6.0) * eye
+    np.matmul(powers[:-1], gains[0], out=gains[1:])
+    np.cumsum(gains, axis=0, out=gains)
+    return powers, response, gains
 
 
 def _march(model: ImpulsiveModel, x, s0: float, s1: float, k0: int, k1: int, step: float):
-    """The one RK4-plus-jump loop, from ``(s0, k0)`` to ``(s1, k1)``.
+    """The one RK4-plus-jump march, from ``(s0, k0)`` to ``(s1, k1)``.
 
     A point ``t`` of the time scale is the pair ``(s, k)`` with
     ``t = s + k * gap``, where ``k`` indexes the gap whose impulse is still
     ahead.  Each impulse-free segment is integrated by fixed-step RK4, and
     jump ``k`` fires at ``impulse_point(k)`` for every ``k0 <= k < k1``.
-    Returns the sample abscissae on the line (left limits at impulse
-    moments, the segment ends written exactly), the states and the jump
-    records.
+    No segment leaves the stride between two impulses, so one a stride long
+    up to rounding runs from impulse to impulse, and every such whole stride
+    is the same segment one stride later: the same steps and, ``f`` having
+    the scale's period, the same forcing table.  So all of them read one
+    :func:`_rk4_kernel`, built on the first one's nodes, and each partial
+    segment its own; only the carry across the impulses loops.
+    Returns the sample abscissae on the line (left limits at impulse moments,
+    the segment ends written exactly), the states and the jump records.
     """
-    A = model.matrix
-    ts = model.ts
-    ss = [np.array([s0])]
-    xs = [x[np.newaxis]]
+    ts, m = model.ts, model.dimension
+    impulses = np.asarray(ts.impulse_point(np.arange(k0, k1)), dtype=float)
+    starts = np.append(s0, impulses)
+    ends = np.append(impulses, s1)
+    lengths = ends - starts
+    live = lengths > _edge_tol(ends)
+    whole = np.abs(lengths - ts.stride) <= _edge_tol(ends)
+    # a length that is a whole number of steps up to rounding takes that
+    # many, whichever coordinates it was measured in
+    counts = np.ones(lengths.size, dtype=np.int64)
+    counts[live] = np.maximum(1, _checked_index(_snapped_ceil(lengths[live] / step)))
+    rows = 1 + int(counts[live].sum())
+    ss = np.empty(rows)
+    xs = np.empty((rows, m))
+    ss[0], xs[0] = s0, x
     jumps: list[JumpRecord] = []
-    cursor = s0
-    for k in range(k0, k1 + 1):
-        seg_end = ts.impulse_point(k) if k < k1 else s1
-        length = seg_end - cursor
-        if length > _edge_tol(seg_end):
-            # a length that is a whole number of steps up to rounding takes
-            # that many, whichever coordinates it was measured in
-            n = max(1, _checked_index(_snapped_ceil(length / step)))
-            h = length / n
-            u = _collapsed_forcing_nodes(model, cursor, seg_end, n, k)
-            xs.append(_rk4_scan(A, u, h, x))
-            ss.append(np.append(cursor + h * np.arange(1, n), seg_end))
-            x = xs[-1][-1].copy()  # the jump record must not pin the block
+    strides = {}  # the kernel of the whole strides, by step count
+    pos = 1
+    for i, k in enumerate(range(k0, k1 + 1)):
+        cursor, seg_end = float(starts[i]), float(ends[i])
+        if live[i]:
+            n = int(counts[i])
+            h = (seg_end - cursor) / n
+            kernel = strides.get(n) if whole[i] else None
+            if kernel is None:
+                nodes = cursor + (seg_end - cursor) * np.arange(2 * n + 1) / (2.0 * n)
+                kernel = _rk4_kernel(model.matrix, model.forcing.value_many(nodes + k * ts.gap), h)
+                if whole[i]:
+                    strides[n] = kernel
+            powers, response, gains = kernel
+            term = model.sequence.term(k)
+            out = xs[pos:pos + n]
+            out[:] = (powers.reshape(-1, m) @ x).reshape(n, m)
+            out += response
+            out += (gains.reshape(-1, m) @ term).reshape(n, m)
+            ss[pos:pos + n - 1] = cursor + h * np.arange(1, n)
+            ss[pos + n - 1] = seg_end
+            pos += n
+            x = out[-1].copy()  # the jump record keeps its own row
         if k < k1:
             before = x
             x = model.jump(k, x)
             jumps.append(JumpRecord(index=k, s=seg_end, before=before, after=x))
-        cursor = seg_end
-    return np.concatenate(ss), np.concatenate(xs), tuple(jumps)
+    return ss, xs, tuple(jumps)
 
 
 def integrate(

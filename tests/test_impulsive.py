@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -212,6 +213,33 @@ class TestIntegrate:
         assert np.allclose(j0.after, expected, atol=1e-14)
         # samples keep the left-limit value at the impulse abscissa
         assert np.array_equal(traj.value(1.0), j0.before)
+
+    def test_whole_strides_share_one_forcing_table(self, model5, monkeypatch):
+        # twelve strides read three tables: one for every whole stride and
+        # one for each partial end; the jumps' forcing is cached on the model
+        model5.forcing_at_impulse
+        calls = []
+        value_many = TrigForcing.value_many
+        monkeypatch.setattr(TrigForcing, "value_many",
+                            lambda self, t: calls.append(t) or value_many(self, t))
+        traj = integrate(model5, np.array([0.2, -0.1]), 0.4, 0.4 + 12 * model5.ts.stride, 1e-2)
+        assert len(traj.jumps) >= 10
+        assert len(calls) <= 3
+
+    def test_states_are_written_once(self, model5):
+        # the march writes its states into the one array it returns and holds
+        # kernel tables of one stride at most: over sixty strides the peak is
+        # the result plus the abscissae check's diff; per-segment pieces
+        # joined at the end would peak at about twice the result
+        args = (model5, np.array([0.2, -0.1]), 0.4, 0.4 + 60 * model5.ts.stride, 1e-2)
+        integrate(*args)  # the sequence's orbit and the model's caches
+        tracemalloc.start()
+        try:
+            traj = integrate(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * (traj.s.nbytes + traj.x.nbytes)
 
     def test_rejects_bad_step(self, model5):
         with pytest.raises(ValueError):

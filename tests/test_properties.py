@@ -9,8 +9,10 @@ periodic component is stride-periodic, the two components sum to
 the full solution, left endpoints evaluated inside a lifted batch or by the
 function on the scale are the jumps of single-point values, and an instance
 that has served earlier calls gives the bits of a fresh one; no point walks
-more whole gaps than the evaluator's depth.  The blocked RK4 scan agrees with
-a plain per-step RK4 loop, stable or not, and the early-abandoning return-time scan,
+more whole gaps than the evaluator's depth.  The RK4 kernel agrees with a
+plain per-step RK4 loop, stable or not, and so does ``integrate``, whose whole
+strides share one kernel, on forced models with the abscissae in every bit;
+the early-abandoning return-time scan,
 one loop for every sequence kind, finds exactly the records of a full scan, on
 table and logistic sequences, whose rank-one form (logistic only) gives the
 bits of their terms.  A logistic defect is read in closed form,
@@ -49,8 +51,8 @@ from tsdyn import (
     recurrence_defect,
 )
 from tsdyn import forcing, impulsive, matrixkit
-from tsdyn.impulsive import _rk4_scan
-from tsdyn.timescale import LEFT_ENDPOINT, _BOUNDARY_RTOL
+from tsdyn.impulsive import _rk4_kernel
+from tsdyn.timescale import LEFT_ENDPOINT, _BOUNDARY_RTOL, _edge_tol, _snapped_ceil
 
 # Deterministic example generation keeps the suite reproducible.
 PROPERTY_SETTINGS = settings(
@@ -433,7 +435,7 @@ def rk4_loop(A, u, h, y):
 
 @st.composite
 def step_counts(draw):
-    # step counts around a whole number of blocks, and long segments
+    # one or two steps, counts around a square, and long segments
     b = draw(st.integers(2, 40))
     return draw(st.sampled_from([1, 2, b * b - 1, b * b, b * b + 1, 5000 + b]))
 
@@ -449,17 +451,100 @@ def step_counts(draw):
 @example(m=8, n=5041, h=5e-2, abscissa=1.0, seed=0)
 @example(m=8, n=1, h=1e-3, abscissa=-2.0, seed=1)
 @example(m=3, n=1599, h=1e-2, abscissa=1.0, seed=2)
+@example(m=2, n=4096, h=1e-3, abscissa=-0.5, seed=3)
+@example(m=5, n=4097, h=5e-2, abscissa=1.0, seed=4)
 def test_rk4_scan_matches_step_loop(m, n, h, abscissa, seed):
+    # the kernel's powers, doubling scan and gains against the per-step loop,
+    # with a constant term on top of the tabulated forcing
     rng = np.random.default_rng(seed)
     A = rng.uniform(-1.0, 1.0, (m, m))
     # shift the spectrum so its rightmost eigenvalue sits at the drawn abscissa
     A += (abscissa - np.max(np.linalg.eigvals(A).real)) * np.eye(m)
     u = rng.uniform(-1.0, 1.0, (2 * n + 1, m))
     y0 = rng.uniform(-1.0, 1.0, m)
-    expected = rk4_loop(A, u, h, y0)
-    got = _rk4_scan(A, u, h, y0)
+    term = rng.uniform(-1.0, 1.0, m)
+    expected = rk4_loop(A, u + term, h, y0)
+    powers, response, gains = _rk4_kernel(A, u, h)
+    got = powers @ y0 + response + gains @ term
     assert got.shape == (n, m)
     assert np.max(np.abs(got - expected)) <= 1e-11 * _scale(expected)
+
+
+@st.composite
+def forced_marches(draw):
+    """A model of :func:`stable_models` or :func:`non_normal_models` given a
+    nonzero trig forcing and a logistic or table sequence, with a window of
+    about three to five strides that starts at an impulse or inside an
+    interval, and the march's step."""
+    model = draw(st.one_of(stable_models(), non_normal_models()))
+    m, ts = model.dimension, model.ts
+    components = tuple(
+        ForcingComponent(draw(coefficient), (Harmonic(draw(st.integers(1, 6)),
+                                                      draw(st.floats(0.5, 1.0)), draw(coefficient)),))
+        for _ in range(m))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        sequence = TableSequence({k: rng.uniform(-1.0, 1.0, m) for k in range(-100, 101)})
+    else:
+        sequence = LogisticSequence(draw(st.floats(3.6, 4.0)), draw(st.floats(0.1, 0.9)),
+                                    k_min=-100, output_map=rng.uniform(-1.0, 1.0, m))
+    model = ImpulsiveModel(model.matrix, ts, TrigForcing(ts.period, components), sequence)
+    step = draw(st.sampled_from([0.05, 0.02, 0.013]))
+    k = draw(st.integers(-5, 5))
+    offset = 0.0 if draw(st.booleans()) else draw(st.floats(0.05, 0.95))
+    s0 = ts.impulse_point(k) + offset * ts.stride
+    # the last segment inside an interval, a whole stride, or less than one
+    # step short of one: the same step count with another step
+    end = draw(st.sampled_from(["inside", "impulse", "short"]))
+    if end == "inside":
+        s1 = s0 + draw(st.floats(3.0, 5.0)) * ts.stride
+    else:
+        s1 = ts.impulse_point(k + draw(st.integers(3, 5)))
+        s1 -= draw(st.floats(0.1, 0.9)) * step if end == "short" else 0.0
+    return model, s0, s1, step
+
+
+def march_loop(model, x, s0, s1, step):
+    """Per-segment, per-step RK4 with the forcing plus ``term_k`` at the
+    half-step mesh, and ``jump`` at each impulse crossed."""
+    ts = model.ts
+    k0, k1 = ts.impulse_index_below(s0) + 1, ts.impulse_index_below(s1) + 1
+    ss, xs, jumps = [np.array([s0])], [x[np.newaxis]], []
+    cursor = s0
+    for k in range(k0, k1 + 1):
+        seg_end = ts.impulse_point(k) if k < k1 else s1
+        length = seg_end - cursor
+        if length > _edge_tol(seg_end):
+            n = max(1, int(_snapped_ceil(length / step)))
+            h = length / n
+            nodes = cursor + length * np.arange(2 * n + 1) / (2.0 * n)
+            u = model.forcing.value_many(nodes + k * ts.gap) + model.sequence.term(k)
+            xs.append(rk4_loop(model.matrix, u, h, x))
+            ss.append(np.append(cursor + h * np.arange(1, n), seg_end))
+            x = xs[-1][-1]
+        if k < k1:
+            before, x = x, model.jump(k, x)
+            jumps.append((k, seg_end, before, x))
+        cursor = seg_end
+    return np.concatenate(ss), np.concatenate(xs), jumps
+
+
+@settings(PROPERTY_SETTINGS, max_examples=40)
+@given(case=forced_marches(), seed=st.integers(0, 2 ** 32 - 1))
+def test_integrate_matches_step_loop(case, seed):
+    # whole strides read one kernel and the partial ends one each; the states
+    # agree with a per-step march at round-off and the abscissae in every bit
+    model, s0, s1, step = case
+    x0 = np.random.default_rng(seed).uniform(-1.0, 1.0, model.dimension)
+    s, x, jumps = march_loop(model, x0, s0, s1, step)
+    traj = integrate(model, x0, s0, s1, step)
+    assert np.array_equal(traj.s, s)
+    bound = 1e-11 * _scale(np.concatenate([x.ravel(), *(after for _, _, _, after in jumps)]))
+    assert np.max(np.abs(traj.x - x)) <= bound
+    assert [(j.index, j.s) for j in traj.jumps] == [(k, at) for k, at, _, _ in jumps]
+    for j, (_, _, before, after) in zip(traj.jumps, jumps):
+        assert np.max(np.abs(j.before - before)) <= bound
+        assert np.max(np.abs(j.after - after)) <= bound
 
 
 def _quantized_table(m, levels, lo, hi, zeta_max, seed):
